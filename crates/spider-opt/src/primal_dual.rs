@@ -138,19 +138,29 @@ pub fn solve_traced(
         }
     }
 
-    // Per-channel per-direction path membership.
+    // Per-channel per-direction path membership, and each grouped path's
+    // hops packed as `2 * channel + slot` in one flat array (`hop_end[k]`
+    // ends the k-th grouped path's hops), so a sweep reads contiguous
+    // memory instead of the pair map, demand lookups and per-path lists.
     let slot = |d: Direction| match d {
         Direction::AtoB => 0usize,
         Direction::BtoA => 1usize,
     };
     let mut members: Vec<[Vec<usize>; 2]> = vec![[Vec::new(), Vec::new()]; num_channels];
-    for ids in pair_paths.values() {
-        for &i in ids {
-            for &(c, d) in paths[i].hops() {
-                members[c.index()][slot(d)].push(i);
-            }
+    let grouped = pair_paths.values().flatten();
+    let mut hops = Vec::with_capacity(grouped.clone().map(|&i| paths[i].hops().len()).sum());
+    let mut hop_end = Vec::with_capacity(grouped.clone().count());
+    for &i in grouped {
+        for &(c, d) in paths[i].hops() {
+            members[c.index()][slot(d)].push(i);
+            hops.push(2 * c.index() + slot(d));
         }
+        hop_end.push(hops.len());
     }
+    let pairs: Vec<(f64, Vec<usize>)> = pair_paths
+        .into_iter()
+        .map(|((s, d), ids)| (demand.rate(s, d), ids))
+        .collect();
 
     let cap_rate: Vec<f64> = network
         .channels()
@@ -188,7 +198,9 @@ pub fn solve_traced(
         // {x ≥ 0, Σ_pair x ≤ d}. The gradient of the utility w.r.t. x_p is
         // 1 for throughput and 1/(f_pair + ε) for proportional fairness.
         let mut max_delta = 0.0f64;
-        for (&(s, d), ids) in &pair_paths {
+        let mut hop_start = 0;
+        let mut grouped = hop_end.iter();
+        for (rate, ids) in &pairs {
             let grad = match config.utility {
                 Utility::Throughput => 1.0,
                 Utility::ProportionalFairness { epsilon } => {
@@ -197,15 +209,16 @@ pub fn solve_traced(
                 }
             };
             scratch.clear();
-            for &i in ids {
+            for (&i, &end) in ids.iter().zip(grouped.by_ref()) {
                 let mut z_p = 0.0;
-                for &(c, dir) in paths[i].hops() {
-                    let e = c.index();
-                    z_p += lambda[e] + mu[e][slot(dir)] - mu[e][1 - slot(dir)];
+                for &h in &hops[hop_start..end] {
+                    let (e, s) = (h / 2, h % 2);
+                    z_p += lambda[e] + mu[e][s] - mu[e][1 - s];
                 }
+                hop_start = end;
                 scratch.push(x[i] + config.alpha * (grad - z_p));
             }
-            project_capped_simplex(&mut scratch, demand.rate(s, d));
+            project_capped_simplex(&mut scratch, *rate);
             for (k, &i) in ids.iter().enumerate() {
                 max_delta = max_delta.max((scratch[k] - x[i]).abs());
                 x[i] = scratch[k];

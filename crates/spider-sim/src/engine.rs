@@ -22,15 +22,18 @@ use crate::audit::{AuditViolation, LedgerAudit};
 use crate::congestion::{CongestionConfig, CongestionControl};
 use crate::events::EventQueue;
 use crate::faults::{
-    Blacklist, FaultEvent, FaultPlan, FaultState, FaultStats, FaultView, RetryPolicy, UnitFate,
+    Blacklist, FaultEvent, FaultPlan, FaultState, FaultStateSnapshot, FaultStats, FaultView,
+    RetryPolicy, UnitFate,
 };
 use crate::ledger::{Ledger, LedgerView};
 use crate::metrics::SimReport;
 use crate::payment::{PaymentState, PaymentStatus};
 use crate::rebalancer::{RebalancePolicy, RebalanceStats};
 use crate::scheduler::SchedulePolicy;
-use crate::snapshot::{self, CheckpointSpec, SnapshotError};
-use spider_core::{crc32, Amount, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path};
+use crate::snapshot::{
+    self, corrupt, CheckpointSpec, Codec, EventCore, Fingerprint, SnapshotError,
+};
+use spider_core::{crc32, Amount, BinError, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path};
 use spider_routing::{fees::FeeSchedule, RoutingScheme, SchemeKind, UnitDecision};
 use spider_telemetry::{Histogram, NetworkSample, Phase, Telemetry, TraceEvent};
 use spider_workload::Transaction;
@@ -180,6 +183,47 @@ struct FaultRuntime {
     not_before: Vec<f64>,
 }
 
+impl FaultRuntime {
+    fn new(plan: &FaultPlan, network: &Network) -> Self {
+        FaultRuntime {
+            state: FaultState::new(plan, network),
+            blacklist: Blacklist::new(network.num_channels()),
+            retry: plan.config.retry.clone(),
+            fail_count: Vec::new(),
+            not_before: Vec::new(),
+        }
+    }
+}
+
+/// The engine's whole mutable run state: the event loop mutates it and a
+/// checkpoint encodes it, field for field, as the `SEC_CORE` section.
+struct SeqState {
+    /// Ticks, ledger, event queue, payments, pending, and telemetry
+    /// samples — the part the router-queue engine shares.
+    core: EventCore<Event>,
+    faults: Option<FaultRuntime>,
+    /// Channels with a submitted, not-yet-confirmed rebalance.
+    rebalance_pending: Vec<bool>,
+    rebalance_stats: RebalanceStats,
+    congestion: Option<CongestionControl>,
+    /// The unit slab: every sent unit, live or finished. Fault events scan
+    /// it for unresolved units whose paths cross a newly-down channel.
+    units: Vec<UnitRecord>,
+    /// Deadline and retry timers.
+    timers: BinaryHeap<Reverse<Timer>>,
+    /// AMP: unit indices that reached the receiver but whose keys are
+    /// withheld until the whole payment has arrived. Indexed by payment
+    /// slot, grown on demand.
+    amp_held: Vec<Vec<usize>>,
+    routing_fees_paid: Amount,
+    /// Refused over-releases (double settle/refund), surfaced in the report
+    /// even when periodic auditing is off.
+    release_violations: Vec<AuditViolation>,
+    units_sent: u64,
+    series: Vec<(f64, f64, f64)>,
+    audit: Option<LedgerAudit>,
+}
+
 enum Event {
     Arrival(usize),
     /// A unit reaches the end of its path and settles (index into the unit
@@ -268,32 +312,27 @@ pub fn resume(
     snapshot_path: &std::path::Path,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SimReport, SnapshotError> {
-    let snap = snapshot::read_snapshot(snapshot_path)?;
     let fp = fingerprint(network, transactions, config, scheme.name());
-    snap.check(snapshot::ENGINE_SEQ, fp)?;
-    let state = decode_seq_core(snap.section(snapshot::SEC_CORE)?, network)?;
-    scheme
-        .restore_state(network, snap.section(snapshot::SEC_SCHEME)?)
-        .map_err(|e| SnapshotError::Unsupported {
-            what: format!("scheme state restore: {e}"),
-        })?;
-    let tel_state =
-        snapshot::decode_telemetry(snap.section_opt(snapshot::SEC_TELEMETRY).unwrap_or(&[]))?;
-    // The caller's handle is restored *in place* so clones of it keep
-    // visibility into the resumed run's trace. The fingerprint already pins
-    // the enabled flag and sampling cadence, so presence must line up.
-    if let Some(ts) = tel_state {
-        config
-            .telemetry
-            .restore_from_state(ts)
-            .map_err(|e| SnapshotError::Unsupported {
-                what: format!("telemetry restore: {e}"),
-            })?;
-    } else if config.telemetry.is_enabled() {
-        return Err(SnapshotError::Corrupt {
-            what: "snapshot lacks telemetry state for an enabled handle".to_string(),
-        });
-    }
+    let state = snapshot::resume_snapshot(
+        snapshot_path,
+        snapshot::ENGINE_SEQ,
+        fp,
+        &config.telemetry,
+        |snap| {
+            let state = SeqState::decode(
+                snap.section(snapshot::SEC_CORE)?,
+                network,
+                transactions,
+                config,
+            )?;
+            scheme
+                .restore_state(network, snap.section(snapshot::SEC_SCHEME)?)
+                .map_err(|e| SnapshotError::Unsupported {
+                    what: format!("scheme state restore: {e}"),
+                })?;
+            Ok(state)
+        },
+    )?;
     run_inner(network, transactions, scheme, config, Some(state), ckpt)
 }
 
@@ -303,135 +342,31 @@ fn run_inner(
     transactions: &[Transaction],
     scheme: &mut dyn RoutingScheme,
     config: &SimConfig,
-    resume: Option<SeqResume>,
+    resume: Option<SeqState>,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SimReport, SnapshotError> {
     assert!(config.delta > 0.0 && config.poll_interval > 0.0 && config.deadline > 0.0);
     assert!(config.mtu.is_positive(), "MTU must be positive");
+    if let Some(policy) = &config.rebalance {
+        policy.validate();
+    }
 
     let fp = if ckpt.is_some() {
         fingerprint(network, transactions, config, scheme.name())
     } else {
         0
     };
-
-    let mut ledger = Ledger::new(network);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut payments: Vec<PaymentState> = Vec::with_capacity(transactions.len());
-    let mut pending: Vec<usize> = Vec::new();
-
     // A resumed run restores the event queue (arrivals not yet processed,
     // the next tick, pending fault transitions, ...) wholesale from the
-    // snapshot, so the initial pushes happen only on a fresh start.
-    if resume.is_none() {
-        for (i, tx) in transactions.iter().enumerate() {
-            if tx.arrival <= config.end_time {
-                queue.push(tx.arrival, Event::Arrival(i));
-            }
-        }
-        queue.push(config.poll_interval, Event::Tick);
-        if let Some(policy) = &config.rebalance {
-            policy.validate();
-            queue.push(policy.check_interval, Event::RebalanceCheck);
-        }
-        if let Some(plan) = &config.faults {
-            for (t, ev) in &plan.events {
-                if *t <= config.end_time {
-                    queue.push(*t, Event::Fault(ev.clone()));
-                }
-            }
-        }
-    } else if let Some(policy) = &config.rebalance {
-        policy.validate();
-    }
-    let mut faults: Option<FaultRuntime> = config.faults.as_ref().map(|plan| FaultRuntime {
-        state: FaultState::new(plan, network),
-        blacklist: Blacklist::new(network.num_channels()),
-        retry: plan.config.retry.clone(),
-        fail_count: Vec::new(),
-        not_before: Vec::new(),
-    });
-    let mut rebalance_pending = vec![false; network.num_channels()];
-    let mut rebalance_stats = RebalanceStats::default();
-    let mut congestion = config.congestion.map(CongestionControl::new);
-    // The unit slab: every sent unit, live or finished. Fault events scan
-    // it for unresolved units whose paths cross a newly-down channel.
-    let mut units: Vec<UnitRecord> = Vec::new();
-    // Deadline + retry timers (satellite of the fault work: replaces the
-    // former O(n)-per-tick deadline scan).
-    let mut timers: BinaryHeap<Reverse<Timer>> = BinaryHeap::new();
-    // AMP: unit indices that reached the receiver but whose keys are
-    // withheld until the whole payment has arrived. Indexed by payment
-    // slot, grown on demand.
-    let mut amp_held: Vec<Vec<usize>> = Vec::new();
-    let mut routing_fees_paid = Amount::ZERO;
-    // Refused over-releases (double settle/refund), surfaced in the report
-    // even when periodic auditing is off.
-    let mut release_violations: Vec<AuditViolation> = Vec::new();
-
-    let mut units_sent: u64 = 0;
-    let mut series: Vec<(f64, f64, f64)> = Vec::new();
+    // snapshot, so the initial pushes happen only in a fresh state.
+    let mut st = match resume {
+        Some(st) => st,
+        None => SeqState::new(network, transactions, config),
+    };
     let packet_switched = scheme.kind() == SchemeKind::PacketSwitched;
-    let mut audit = config.audit.then(|| LedgerAudit::new(&ledger));
-
     let tel = &config.telemetry;
-    let mut network_series: Vec<NetworkSample> = Vec::new();
-    // Channel samples piggyback on Tick events at this cadence; no events
-    // of their own are queued, so (time, sequence) ordering is untouched.
-    let mut next_sample = tel.sample_interval().unwrap_or(f64::INFINITY);
-    // Scheduler ticks processed so far (checkpoint cadence).
-    let mut ticks: u64 = 0;
 
-    if let Some(st) = resume {
-        ticks = st.ticks;
-        for (i, raw) in st.channels.into_iter().enumerate() {
-            ledger.restore_channel(ChannelId::from(i), raw);
-        }
-        for (t, seq, event) in st.queue_entries {
-            queue.push_with_seq(t, seq, event);
-        }
-        queue.set_next_seq(st.queue_next_seq);
-        payments = st.payments;
-        pending = st.pending;
-        if let Some((snap, slots, fail_count, not_before)) = st.faults {
-            let fr = faults.as_mut().ok_or_else(|| SnapshotError::Corrupt {
-                what: "snapshot has fault state but config has no fault plan".to_string(),
-            })?;
-            fr.state
-                .restore_state(snap)
-                .map_err(|what| SnapshotError::Corrupt { what })?;
-            fr.blacklist
-                .restore_slots(slots)
-                .map_err(|what| SnapshotError::Corrupt { what })?;
-            fr.fail_count = fail_count;
-            fr.not_before = not_before;
-        } else if faults.is_some() {
-            return Err(SnapshotError::Corrupt {
-                what: "config has a fault plan but snapshot has no fault state".to_string(),
-            });
-        }
-        rebalance_pending = st.rebalance_pending;
-        rebalance_stats = st.rebalance_stats;
-        if let Some(entries) = st.congestion {
-            if let Some(cc) = congestion.as_mut() {
-                cc.restore_state(&entries);
-            }
-        }
-        units = st.units;
-        for timer in st.timers {
-            timers.push(Reverse(timer));
-        }
-        amp_held = st.amp_held;
-        routing_fees_paid = st.routing_fees_paid;
-        release_violations = st.release_violations;
-        units_sent = st.units_sent;
-        series = st.series;
-        audit = st.audit.map(LedgerAudit::from_state);
-        network_series = st.network_series;
-        next_sample = st.next_sample;
-    }
-
-    while let Some((now, event)) = queue.pop() {
+    while let Some((now, event)) = st.core.queue.pop() {
         if now > config.end_time {
             break;
         }
@@ -441,8 +376,8 @@ fn run_inner(
                 tel.span_sim(Phase::RoutingDecision, now);
                 tel.span_items(Phase::RoutingDecision, 1);
                 let tx = &transactions[i];
-                let idx = payments.len();
-                payments.push(PaymentState {
+                let idx = st.core.payments.len();
+                st.core.payments.push(PaymentState {
                     id: tx.id,
                     src: tx.src,
                     dst: tx.dst,
@@ -454,7 +389,7 @@ fn run_inner(
                     status: PaymentStatus::Pending,
                     completed_at: None,
                 });
-                if let Some(fr) = faults.as_mut() {
+                if let Some(fr) = st.faults.as_mut() {
                     fr.fail_count.push(0);
                     fr.not_before.push(f64::NEG_INFINITY);
                 }
@@ -475,130 +410,142 @@ fn run_inner(
                             / config.mtu.micros())
                         .max(0) as u64,
                     });
-                    pending.push(idx);
-                    timers.push(Reverse(Timer {
-                        time: payments[idx].deadline,
+                    st.core.pending.push(idx);
+                    st.timers.push(Reverse(Timer {
+                        time: st.core.payments[idx].deadline,
                         payment: idx,
                         kind: TimerKind::Deadline,
                     }));
                     pump_payment(
                         network,
-                        &mut ledger,
+                        &mut st.core.ledger,
                         scheme,
                         idx,
-                        &mut payments[idx],
+                        &mut st.core.payments[idx],
                         config,
                         now,
-                        &mut queue,
-                        &mut units,
-                        &mut units_sent,
-                        congestion.as_mut(),
-                        faults.as_mut(),
+                        &mut st.core.queue,
+                        &mut st.units,
+                        &mut st.units_sent,
+                        st.congestion.as_mut(),
+                        st.faults.as_mut(),
                     );
                 } else {
                     attempt_atomic(
                         network,
-                        &mut ledger,
+                        &mut st.core.ledger,
                         scheme,
-                        &mut payments[idx],
+                        &mut st.core.payments[idx],
                         idx,
                         config,
                         now,
-                        &mut queue,
-                        &mut units,
-                        &mut units_sent,
-                        faults.as_mut(),
-                        &mut release_violations,
+                        &mut st.core.queue,
+                        &mut st.units,
+                        &mut st.units_sent,
+                        st.faults.as_mut(),
+                        &mut st.release_violations,
                     );
                 }
             }
             Event::Settle { unit } => {
                 // A fault may have refunded this unit while its settle was
                 // already scheduled.
-                if units[unit].resolved {
+                if st.units[unit].resolved {
                     continue;
                 }
                 let _span = tel.span_enter(Phase::SettleRefund);
                 tel.span_sim(Phase::SettleRefund, now);
                 tel.span_items(Phase::SettleRefund, 1);
-                let payment = units[unit].payment;
-                let amount = units[unit].amount;
-                if let Some(cc) = congestion.as_mut() {
+                let payment = st.units[unit].payment;
+                let amount = st.units[unit].amount;
+                if let Some(cc) = st.congestion.as_mut() {
                     if packet_switched {
-                        let p = &payments[payment];
+                        let p = &st.core.payments[payment];
                         cc.on_settle(p.src, p.dst);
                     }
                 }
                 if config.amp && packet_switched {
-                    if payments[payment].status == PaymentStatus::Abandoned {
+                    if st.core.payments[payment].status == PaymentStatus::Abandoned {
                         // Deadline already passed: the sender withholds the
                         // key, so this late unit bounces straight back.
                         let res = {
-                            let u = &units[unit];
-                            refund_unit(network, &mut ledger, &u.path, u.amount, &u.hop_amounts)
+                            let u = &st.units[unit];
+                            refund_unit(
+                                network,
+                                &mut st.core.ledger,
+                                &u.path,
+                                u.amount,
+                                &u.hop_amounts,
+                            )
                         };
-                        units[unit].resolved = true;
+                        st.units[unit].resolved = true;
                         match res {
                             Ok(()) => {
-                                payments[payment].inflight -= amount;
+                                st.core.payments[payment].inflight -= amount;
                                 tel.counter_add("sim.units.refunded", 1);
                                 tel.emit(|| TraceEvent::UnitRefunded {
                                     t: now,
-                                    payment: payments[payment].id.0,
+                                    payment: st.core.payments[payment].id.0,
                                     amount: amount.as_tokens(),
                                 });
                             }
                             Err(e) => {
-                                record_release(&mut release_violations, now, "amp-bounce", &e)
+                                record_release(&mut st.release_violations, now, "amp-bounce", &e)
                             }
                         }
-                        if let Some(a) = audit.as_mut() {
-                            a.check(&ledger, now, "amp-bounce");
+                        if let Some(a) = st.audit.as_mut() {
+                            a.check(&st.core.ledger, now, "amp-bounce");
                         }
                         continue;
                     }
                     // Withhold the key until the whole payment has arrived.
-                    if payment >= amp_held.len() {
-                        amp_held.resize_with(payment + 1, Vec::new);
+                    if payment >= st.amp_held.len() {
+                        st.amp_held.resize_with(payment + 1, Vec::new);
                     }
-                    amp_held[payment].push(unit);
-                    let arrived: Amount = amp_held[payment]
+                    st.amp_held[payment].push(unit);
+                    let arrived: Amount = st.amp_held[payment]
                         .iter()
-                        .filter(|&&ui| !units[ui].resolved)
-                        .map(|&ui| units[ui].amount)
+                        .filter(|&&ui| !st.units[ui].resolved)
+                        .map(|&ui| st.units[ui].amount)
                         .sum();
-                    if arrived >= payments[payment].amount
-                        && payments[payment].status == PaymentStatus::Pending
+                    if arrived >= st.core.payments[payment].amount
+                        && st.core.payments[payment].status == PaymentStatus::Pending
                     {
-                        for ui in std::mem::take(&mut amp_held[payment]) {
-                            if units[ui].resolved {
+                        for ui in std::mem::take(&mut st.amp_held[payment]) {
+                            if st.units[ui].resolved {
                                 continue;
                             }
                             let res = {
-                                let u = &units[ui];
-                                settle_unit(network, &mut ledger, &u.path, u.amount, &u.hop_amounts)
+                                let u = &st.units[ui];
+                                settle_unit(
+                                    network,
+                                    &mut st.core.ledger,
+                                    &u.path,
+                                    u.amount,
+                                    &u.hop_amounts,
+                                )
                             };
-                            units[ui].resolved = true;
+                            st.units[ui].resolved = true;
                             match res {
                                 Ok(fee) => {
-                                    routing_fees_paid += fee;
-                                    let held_amount = units[ui].amount;
-                                    let p = &mut payments[payment];
+                                    st.routing_fees_paid += fee;
+                                    let held_amount = st.units[ui].amount;
+                                    let p = &mut st.core.payments[payment];
                                     p.inflight -= held_amount;
                                     p.delivered += held_amount;
                                     tel.counter_add("sim.units.settled", 1);
                                     tel.emit(|| TraceEvent::UnitSettled {
                                         t: now,
-                                        payment: payments[payment].id.0,
+                                        payment: st.core.payments[payment].id.0,
                                         amount: held_amount.as_tokens(),
                                     });
                                 }
                                 Err(e) => {
-                                    record_release(&mut release_violations, now, "settle", &e)
+                                    record_release(&mut st.release_violations, now, "settle", &e)
                                 }
                             }
                         }
-                        let p = &mut payments[payment];
+                        let p = &mut st.core.payments[payment];
                         if p.fully_delivered() {
                             p.status = PaymentStatus::Completed;
                             p.completed_at = Some(now);
@@ -619,14 +566,20 @@ fn run_inner(
                     }
                 } else {
                     let res = {
-                        let u = &units[unit];
-                        settle_unit(network, &mut ledger, &u.path, u.amount, &u.hop_amounts)
+                        let u = &st.units[unit];
+                        settle_unit(
+                            network,
+                            &mut st.core.ledger,
+                            &u.path,
+                            u.amount,
+                            &u.hop_amounts,
+                        )
                     };
-                    units[unit].resolved = true;
+                    st.units[unit].resolved = true;
                     match res {
                         Ok(fee) => {
-                            routing_fees_paid += fee;
-                            let p = &mut payments[payment];
+                            st.routing_fees_paid += fee;
+                            let p = &mut st.core.payments[payment];
                             p.inflight -= amount;
                             p.delivered += amount;
                             let pid = p.id.0;
@@ -653,37 +606,43 @@ fn run_inner(
                                 });
                             }
                         }
-                        Err(e) => record_release(&mut release_violations, now, "settle", &e),
+                        Err(e) => record_release(&mut st.release_violations, now, "settle", &e),
                     }
                 }
-                if let Some(a) = audit.as_mut() {
-                    a.check(&ledger, now, "settle");
+                if let Some(a) = st.audit.as_mut() {
+                    a.check(&st.core.ledger, now, "settle");
                 }
             }
             Event::FaultExpire { unit } => {
-                if units[unit].resolved {
+                if st.units[unit].resolved {
                     continue;
                 }
                 let _span = tel.span_enter(Phase::FaultProcessing);
                 tel.span_sim(Phase::FaultProcessing, now);
                 tel.span_items(Phase::FaultProcessing, 1);
-                let payment = units[unit].payment;
-                let amount = units[unit].amount;
-                let Some(fault) = units[unit].fault else {
+                let payment = st.units[unit].payment;
+                let amount = st.units[unit].amount;
+                let Some(fault) = st.units[unit].fault else {
                     // FaultExpire events are only scheduled for units
                     // created with a fate; a fateless unit has nothing to
                     // expire.
                     continue;
                 };
                 let res = {
-                    let u = &units[unit];
-                    refund_unit(network, &mut ledger, &u.path, u.amount, &u.hop_amounts)
+                    let u = &st.units[unit];
+                    refund_unit(
+                        network,
+                        &mut st.core.ledger,
+                        &u.path,
+                        u.amount,
+                        &u.hop_amounts,
+                    )
                 };
-                units[unit].resolved = true;
+                st.units[unit].resolved = true;
                 match res {
                     Ok(()) => {
-                        payments[payment].inflight -= amount;
-                        let pid = payments[payment].id.0;
+                        st.core.payments[payment].inflight -= amount;
+                        let pid = st.core.payments[payment].id.0;
                         let blamed = match fault {
                             UnitFault::Dropped(c) => {
                                 tel.counter_add("sim.units.dropped", 1);
@@ -716,30 +675,30 @@ fn run_inner(
                             payment: pid,
                             amount: amount.as_tokens(),
                         });
-                        if let Some(fr) = faults.as_mut() {
+                        if let Some(fr) = st.faults.as_mut() {
                             handle_unit_fault(
                                 payment,
                                 blamed,
                                 now,
-                                &mut payments,
+                                &mut st.core.payments,
                                 fr,
-                                &mut timers,
+                                &mut st.timers,
                                 tel,
                                 packet_switched,
                             );
                         }
                     }
-                    Err(e) => record_release(&mut release_violations, now, "fault-expire", &e),
+                    Err(e) => record_release(&mut st.release_violations, now, "fault-expire", &e),
                 }
-                if let Some(a) = audit.as_mut() {
-                    a.check(&ledger, now, "fault-expire");
+                if let Some(a) = st.audit.as_mut() {
+                    a.check(&st.core.ledger, now, "fault-expire");
                 }
             }
             Event::Fault(ev) => {
                 let _span = tel.span_enter(Phase::FaultProcessing);
                 tel.span_sim(Phase::FaultProcessing, now);
                 tel.span_items(Phase::FaultProcessing, 1);
-                let Some(fr) = faults.as_mut() else {
+                let Some(fr) = st.faults.as_mut() else {
                     // Fault events are only scheduled when a plan is
                     // installed.
                     continue;
@@ -775,7 +734,7 @@ fn run_inner(
                     // Refund every in-flight unit whose path crosses a
                     // channel that just went down — its HTLC can no longer
                     // complete, so the locked funds bounce back hop by hop.
-                    for unit in units.iter_mut() {
+                    for unit in st.units.iter_mut() {
                         if unit.resolved {
                             continue;
                         }
@@ -788,7 +747,7 @@ fn run_inner(
                         let Some(blamed) = blamed else { continue };
                         let res = refund_unit(
                             network,
-                            &mut ledger,
+                            &mut st.core.ledger,
                             &unit.path,
                             unit.amount,
                             &unit.hop_amounts,
@@ -798,9 +757,9 @@ fn run_inner(
                             Ok(()) => {
                                 let amount = unit.amount;
                                 let pidx = unit.payment;
-                                payments[pidx].inflight -= amount;
+                                st.core.payments[pidx].inflight -= amount;
                                 fr.state.stats.units_refunded_by_outage += 1;
-                                let pid = payments[pidx].id.0;
+                                let pid = st.core.payments[pidx].id.0;
                                 tel.counter_add("sim.units.refunded", 1);
                                 tel.emit(|| TraceEvent::UnitRefunded {
                                     t: now,
@@ -811,18 +770,18 @@ fn run_inner(
                                     pidx,
                                     blamed,
                                     now,
-                                    &mut payments,
+                                    &mut st.core.payments,
                                     fr,
-                                    &mut timers,
+                                    &mut st.timers,
                                     tel,
                                     packet_switched,
                                 );
                             }
-                            Err(e) => record_release(&mut release_violations, now, "fault", &e),
+                            Err(e) => record_release(&mut st.release_violations, now, "fault", &e),
                         }
                     }
-                    if let Some(a) = audit.as_mut() {
-                        a.check(&ledger, now, "fault");
+                    if let Some(a) = st.audit.as_mut() {
+                        a.check(&st.core.ledger, now, "fault");
                     }
                 }
             }
@@ -833,17 +792,17 @@ fn run_inner(
                 // Expire deadlines and fire retry timers, in (time, payment)
                 // order off the shared min-heap — O(log n) per expiry instead
                 // of a scan over every pending payment per tick.
-                while let Some(Reverse(t)) = timers.peek() {
+                while let Some(Reverse(t)) = st.timers.peek() {
                     if t.time > now {
                         break;
                     }
-                    let Some(Reverse(timer)) = timers.pop() else {
+                    let Some(Reverse(timer)) = st.timers.pop() else {
                         break;
                     };
                     let i = timer.payment;
                     match timer.kind {
                         TimerKind::Deadline => {
-                            let p = &mut payments[i];
+                            let p = &mut st.core.payments[i];
                             if p.status != PaymentStatus::Pending {
                                 continue;
                             }
@@ -859,26 +818,26 @@ fn run_inner(
                             // AMP: the sender withholds the key; everything
                             // the receiver was holding is refunded to the
                             // senders.
-                            if let Some(held) = amp_held.get_mut(i).map(std::mem::take) {
+                            if let Some(held) = st.amp_held.get_mut(i).map(std::mem::take) {
                                 for ui in held {
-                                    if units[ui].resolved {
+                                    if st.units[ui].resolved {
                                         continue;
                                     }
                                     let res = {
-                                        let u = &units[ui];
+                                        let u = &st.units[ui];
                                         refund_unit(
                                             network,
-                                            &mut ledger,
+                                            &mut st.core.ledger,
                                             &u.path,
                                             u.amount,
                                             &u.hop_amounts,
                                         )
                                     };
-                                    units[ui].resolved = true;
+                                    st.units[ui].resolved = true;
                                     match res {
                                         Ok(()) => {
-                                            let held_amount = units[ui].amount;
-                                            payments[i].inflight -= held_amount;
+                                            let held_amount = st.units[ui].amount;
+                                            st.core.payments[i].inflight -= held_amount;
                                             tel.counter_add("sim.units.refunded", 1);
                                             tel.emit(|| TraceEvent::UnitRefunded {
                                                 t: now,
@@ -887,130 +846,108 @@ fn run_inner(
                                             });
                                         }
                                         Err(e) => record_release(
-                                            &mut release_violations,
+                                            &mut st.release_violations,
                                             now,
                                             "deadline-refund",
                                             &e,
                                         ),
                                     }
                                 }
-                                if let Some(a) = audit.as_mut() {
-                                    a.check(&ledger, now, "deadline-refund");
+                                if let Some(a) = st.audit.as_mut() {
+                                    a.check(&st.core.ledger, now, "deadline-refund");
                                 }
                             }
                         }
                         TimerKind::Retry => {
                             // Backoff expired: give the payment first shot
                             // at liquidity before the policy-ordered pump.
-                            if payments[i].status == PaymentStatus::Pending {
+                            if st.core.payments[i].status == PaymentStatus::Pending {
                                 pump_payment(
                                     network,
-                                    &mut ledger,
+                                    &mut st.core.ledger,
                                     scheme,
                                     i,
-                                    &mut payments[i],
+                                    &mut st.core.payments[i],
                                     config,
                                     now,
-                                    &mut queue,
-                                    &mut units,
-                                    &mut units_sent,
-                                    congestion.as_mut(),
-                                    faults.as_mut(),
+                                    &mut st.core.queue,
+                                    &mut st.units,
+                                    &mut st.units_sent,
+                                    st.congestion.as_mut(),
+                                    st.faults.as_mut(),
                                 );
                             }
                         }
                     }
                 }
-                pending.retain(|&i| payments[i].status == PaymentStatus::Pending);
+                st.core
+                    .pending
+                    .retain(|&i| st.core.payments[i].status == PaymentStatus::Pending);
 
                 if packet_switched {
-                    config.policy.order(&payments, &mut pending);
-                    let order = pending.clone();
+                    config.policy.order(&st.core.payments, &mut st.core.pending);
+                    let order = st.core.pending.clone();
                     for i in order {
-                        if payments[i].status != PaymentStatus::Pending {
+                        if st.core.payments[i].status != PaymentStatus::Pending {
                             continue;
                         }
                         pump_payment(
                             network,
-                            &mut ledger,
+                            &mut st.core.ledger,
                             scheme,
                             i,
-                            &mut payments[i],
+                            &mut st.core.payments[i],
                             config,
                             now,
-                            &mut queue,
-                            &mut units,
-                            &mut units_sent,
-                            congestion.as_mut(),
-                            faults.as_mut(),
+                            &mut st.core.queue,
+                            &mut st.units,
+                            &mut st.units_sent,
+                            st.congestion.as_mut(),
+                            st.faults.as_mut(),
                         );
                     }
-                    pending.retain(|&i| payments[i].status == PaymentStatus::Pending);
+                    st.core
+                        .pending
+                        .retain(|&i| st.core.payments[i].status == PaymentStatus::Pending);
                 }
 
                 if config.record_series {
-                    let (ratio, volume) = running_metrics(&payments);
-                    series.push((now, ratio, volume));
+                    let (ratio, volume) = running_metrics(&st.core.payments);
+                    st.series.push((now, ratio, volume));
                 }
-                if now + 1e-12 >= next_sample {
+                if now + 1e-12 >= st.core.next_sample {
                     sample_network(
                         network,
-                        &ledger,
-                        &payments,
+                        &st.core.ledger,
+                        &st.core.payments,
                         now,
                         tel,
-                        &mut network_series,
+                        &mut st.core.network_series,
                         &|_| 0,
                     );
                     let interval = tel.sample_interval().unwrap_or(f64::INFINITY);
-                    while next_sample <= now + 1e-12 {
-                        next_sample += interval;
+                    while st.core.next_sample <= now + 1e-12 {
+                        st.core.next_sample += interval;
                     }
                 }
                 let next = now + config.poll_interval;
                 if next <= config.end_time {
-                    queue.push(next, Event::Tick);
+                    st.core.queue.push(next, Event::Tick);
                 }
                 // Checkpoint between events: the tick (including the next-
                 // tick push above) has fully completed, so the captured
                 // state is exactly what an uninterrupted run holds here.
-                ticks += 1;
+                st.core.ticks += 1;
                 if let Some(ck) = ckpt {
-                    if ticks.is_multiple_of(ck.every) {
-                        let core = encode_seq_core(
-                            ticks,
-                            network,
-                            &ledger,
-                            &queue,
-                            &payments,
-                            &pending,
-                            &faults,
-                            &rebalance_pending,
-                            &rebalance_stats,
-                            &congestion,
-                            &units,
-                            &timers,
-                            &amp_held,
-                            routing_fees_paid,
-                            &release_violations,
-                            units_sent,
-                            &series,
-                            &audit,
-                            &network_series,
-                            next_sample,
-                        );
-                        let scheme_bytes = scheme.checkpoint_state().unwrap_or_default();
-                        let tel_bytes = snapshot::encode_telemetry(&tel.export_state());
-                        snapshot::write_snapshot(
-                            &ck.dir,
+                    if st.core.ticks.is_multiple_of(ck.every) {
+                        snapshot::write_event_snapshot(
+                            ck,
                             snapshot::ENGINE_SEQ,
                             fp,
-                            ticks,
-                            &[
-                                (snapshot::SEC_CORE, core),
-                                (snapshot::SEC_SCHEME, scheme_bytes),
-                                (snapshot::SEC_TELEMETRY, tel_bytes),
-                            ],
+                            st.core.ticks,
+                            st.encode(),
+                            Some(scheme.checkpoint_state().unwrap_or_default()),
+                            tel,
                         )?;
                     }
                 }
@@ -1021,13 +958,13 @@ fn run_inner(
                     continue;
                 };
                 for ch in network.channels() {
-                    if rebalance_pending[ch.id.index()] {
+                    if st.rebalance_pending[ch.id.index()] {
                         continue;
                     }
-                    let (a, b) = ledger.balances(ch.id);
+                    let (a, b) = st.core.ledger.balances(ch.id);
                     if policy.correction(a, b).is_some() {
-                        rebalance_pending[ch.id.index()] = true;
-                        queue.push(
+                        st.rebalance_pending[ch.id.index()] = true;
+                        st.core.queue.push(
                             now + policy.confirmation_delay,
                             Event::RebalanceApply { channel: ch.id },
                         );
@@ -1035,7 +972,7 @@ fn run_inner(
                 }
                 let next = now + policy.check_interval;
                 if next <= config.end_time {
-                    queue.push(next, Event::RebalanceCheck);
+                    st.core.queue.push(next, Event::RebalanceCheck);
                 }
             }
             Event::RebalanceApply { channel } => {
@@ -1044,16 +981,16 @@ fn run_inner(
                     // which requires a policy.
                     continue;
                 };
-                rebalance_pending[channel.index()] = false;
+                st.rebalance_pending[channel.index()] = false;
                 // Re-evaluate at confirmation time: traffic in the interim
                 // may have (partially) healed the skew.
-                let (a, b) = ledger.balances(channel);
+                let (a, b) = st.core.ledger.balances(channel);
                 if let Some(amount) = policy.correction(a, b) {
                     let ch = network.channel(channel);
                     let (rich, poor) = if a >= b { (ch.a, ch.b) } else { (ch.b, ch.a) };
-                    let taken = ledger.withdraw(network, channel, rich, amount);
+                    let taken = st.core.ledger.withdraw(network, channel, rich, amount);
                     let redeposit = taken.saturating_sub(policy.fee).max(Amount::ZERO);
-                    if let Err(e) = ledger.deposit(network, channel, poor, redeposit) {
+                    if let Err(e) = st.core.ledger.deposit(network, channel, poor, redeposit) {
                         // Redepositing funds just withdrawn from this same
                         // channel cannot overflow its capacity; count and
                         // skip rather than corrupt the ledger if it does.
@@ -1062,9 +999,9 @@ fn run_inner(
                         continue;
                     }
                     let fee_paid = taken.saturating_sub(redeposit);
-                    rebalance_stats.transactions += 1;
-                    rebalance_stats.moved_volume += taken.as_tokens();
-                    rebalance_stats.fees_paid += fee_paid.as_tokens();
+                    st.rebalance_stats.transactions += 1;
+                    st.rebalance_stats.moved_volume += taken.as_tokens();
+                    st.rebalance_stats.fees_paid += fee_paid.as_tokens();
                     tel.counter_add("sim.rebalance.applied", 1);
                     tel.emit(|| TraceEvent::RebalanceApplied {
                         t: now,
@@ -1072,19 +1009,22 @@ fn run_inner(
                         moved: taken.as_tokens(),
                         fee: fee_paid.as_tokens(),
                     });
-                    if let Some(a) = audit.as_mut() {
+                    if let Some(a) = st.audit.as_mut() {
                         a.on_withdraw(taken);
                         a.on_deposit(redeposit);
-                        a.check(&ledger, now, "rebalance");
+                        a.check(&st.core.ledger, now, "rebalance");
                     }
                 }
             }
         }
     }
 
-    debug_assert!(ledger.conserves_all(), "ledger must conserve funds");
-    if let Some(a) = audit.as_mut() {
-        a.check(&ledger, config.end_time, "final");
+    debug_assert!(
+        st.core.ledger.conserves_all(),
+        "st.core.ledger must conserve funds"
+    );
+    if let Some(a) = st.audit.as_mut() {
+        a.check(&st.core.ledger, config.end_time, "final");
     }
     for (name, value) in scheme.telemetry_stats() {
         tel.counter_add(name, value);
@@ -1092,16 +1032,16 @@ fn run_inner(
     Ok(build_report(
         scheme,
         config,
-        &payments,
-        &ledger,
-        units_sent,
-        series,
-        rebalance_stats,
-        routing_fees_paid,
-        audit,
-        network_series,
-        faults.map(|fr| fr.state.stats),
-        release_violations,
+        &st.core.payments,
+        &st.core.ledger,
+        st.units_sent,
+        st.series,
+        st.rebalance_stats,
+        st.routing_fees_paid,
+        st.audit,
+        st.core.network_series,
+        st.faults.map(|fr| fr.state.stats),
+        st.release_violations,
     ))
 }
 
@@ -1592,9 +1532,9 @@ fn build_report(
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/resume: fingerprinting and `SEC_CORE` state encoding for this
-// engine. The decoder mirrors the encoder field for field; any drift is a
-// format change and must bump `snapshot::FORMAT_VERSION`.
+// Checkpoint/resume: the fingerprint and this engine's `SEC_CORE` codec. The
+// shared types encode through `snapshot::Codec`; the field order below is the
+// SPSN v2 layout tabled in DESIGN.md.
 
 /// CRC-32 over the simulation inputs and every config field that shapes the
 /// run. A resume whose recomputed fingerprint differs from the snapshot's
@@ -1608,568 +1548,297 @@ fn fingerprint(
     let mut e = Enc::new();
     snapshot::enc_inputs(&mut e, network, transactions);
     e.str(scheme_name);
-    e.f64(config.end_time);
-    e.f64(config.delta);
-    e.i64(config.mtu.micros());
-    e.f64(config.poll_interval);
-    e.f64(config.deadline);
+    (config.end_time, config.delta, config.mtu).enc(&mut e);
+    (config.poll_interval, config.deadline).enc(&mut e);
     e.str(config.policy.name());
-    e.bool(config.record_series);
-    e.bool(config.amp);
-    e.bool(config.audit);
-    match &config.rebalance {
-        Some(p) => {
-            e.u8(1);
-            e.f64(p.check_interval);
-            e.f64(p.imbalance_threshold);
-            e.f64(p.correction_fraction);
-            e.i64(p.fee.micros());
-            e.f64(p.confirmation_delay);
-        }
-        None => e.u8(0),
-    }
-    match &config.congestion {
-        Some(c) => {
-            e.u8(1);
-            e.f64(c.initial_window);
-            e.f64(c.additive_increase);
-            e.f64(c.multiplicative_decrease);
-            e.f64(c.min_window);
-            e.f64(c.max_window);
-        }
-        None => e.u8(0),
-    }
-    match &config.fees {
-        Some(f) => {
-            e.u8(1);
-            e.seq(&f.per_channel(), |e, (base, ppm)| {
-                e.i64(base.micros());
-                e.u32(*ppm);
-            });
-        }
-        None => e.u8(0),
-    }
-    match &config.faults {
-        Some(plan) => {
-            e.u8(1);
-            snapshot::enc_json(&mut e, &plan.config);
-            e.seq(&plan.events, |e, (t, ev)| {
-                e.f64(*t);
-                enc_fault_event(e, ev);
-            });
-        }
-        None => e.u8(0),
-    }
-    e.bool(config.telemetry.is_enabled());
-    e.f64(config.telemetry.sample_interval().unwrap_or(f64::NAN));
+    (config.record_series, config.amp, config.audit).enc(&mut e);
+    config.rebalance.fingerprint(&mut e);
+    config.congestion.fingerprint(&mut e);
+    config.fees.fingerprint(&mut e);
+    config.faults.fingerprint(&mut e);
+    config.telemetry.fingerprint(&mut e);
     crc32(&e.into_bytes())
 }
 
-pub(crate) fn enc_fault_event(e: &mut Enc, ev: &FaultEvent) {
-    match ev {
-        FaultEvent::ChannelDown(c) => {
-            e.u8(0);
-            e.u32(c.0);
-        }
-        FaultEvent::ChannelUp(c) => {
-            e.u8(1);
-            e.u32(c.0);
-        }
-        FaultEvent::NodeDown(n) => {
-            e.u8(2);
-            e.u32(n.0);
-        }
-        FaultEvent::NodeUp(n) => {
-            e.u8(3);
-            e.u32(n.0);
+impl Codec for Event {
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            Event::Arrival(i) => (0u8, *i).enc(e),
+            Event::Settle { unit } => (1u8, *unit).enc(e),
+            Event::FaultExpire { unit } => (2u8, *unit).enc(e),
+            Event::Fault(ev) => {
+                e.u8(3);
+                ev.enc(e);
+            }
+            Event::Tick => e.u8(4),
+            Event::RebalanceCheck => e.u8(5),
+            Event::RebalanceApply { channel } => (6u8, *channel).enc(e),
         }
     }
-}
-
-pub(crate) fn dec_fault_event(d: &mut Dec) -> Result<FaultEvent, SnapshotError> {
-    let tag = d.u8()?;
-    let id = d.u32()?;
-    match tag {
-        0 => Ok(FaultEvent::ChannelDown(ChannelId(id))),
-        1 => Ok(FaultEvent::ChannelUp(ChannelId(id))),
-        2 => Ok(FaultEvent::NodeDown(NodeId(id))),
-        3 => Ok(FaultEvent::NodeUp(NodeId(id))),
-        other => Err(SnapshotError::Corrupt {
-            what: format!("fault event tag {other}"),
-        }),
-    }
-}
-
-fn enc_event(e: &mut Enc, event: &Event) {
-    match event {
-        Event::Arrival(i) => {
-            e.u8(0);
-            e.usize(*i);
-        }
-        Event::Settle { unit } => {
-            e.u8(1);
-            e.usize(*unit);
-        }
-        Event::FaultExpire { unit } => {
-            e.u8(2);
-            e.usize(*unit);
-        }
-        Event::Fault(ev) => {
-            e.u8(3);
-            enc_fault_event(e, ev);
-        }
-        Event::Tick => e.u8(4),
-        Event::RebalanceCheck => e.u8(5),
-        Event::RebalanceApply { channel } => {
-            e.u8(6);
-            e.u32(channel.0);
-        }
-    }
-}
-
-fn dec_event(d: &mut Dec) -> Result<Event, SnapshotError> {
-    match d.u8()? {
-        0 => Ok(Event::Arrival(d.usize()?)),
-        1 => Ok(Event::Settle { unit: d.usize()? }),
-        2 => Ok(Event::FaultExpire { unit: d.usize()? }),
-        3 => Ok(Event::Fault(dec_fault_event(d)?)),
-        4 => Ok(Event::Tick),
-        5 => Ok(Event::RebalanceCheck),
-        6 => Ok(Event::RebalanceApply {
-            channel: ChannelId(d.u32()?),
-        }),
-        other => Err(SnapshotError::Corrupt {
-            what: format!("event tag {other}"),
-        }),
-    }
-}
-
-pub(crate) fn enc_path(e: &mut Enc, path: &Path) {
-    e.seq(path.nodes(), |e, n| e.u32(n.0));
-}
-
-pub(crate) fn dec_path(
-    d: &mut Dec,
-    network: &Network,
-) -> Result<std::sync::Arc<Path>, SnapshotError> {
-    let nodes = d.seq(|d| Ok(NodeId(d.u32()?)))?;
-    Path::new(network, nodes)
-        .map(std::sync::Arc::new)
-        .map_err(|e| SnapshotError::Corrupt {
-            what: format!("unit path: {e}"),
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        Ok(match d.u8()? {
+            0 => Event::Arrival(d.usize()?),
+            1 => Event::Settle { unit: d.usize()? },
+            2 => Event::FaultExpire { unit: d.usize()? },
+            3 => Event::Fault(FaultEvent::dec(d, net)?),
+            4 => Event::Tick,
+            5 => Event::RebalanceCheck,
+            6 => Event::RebalanceApply {
+                channel: ChannelId::dec(d, net)?,
+            },
+            other => return Err(snapshot::invalid(d, format!("event tag {other}"))),
         })
-}
-
-pub(crate) fn enc_payment(e: &mut Enc, p: &PaymentState) {
-    e.u64(p.id.0);
-    e.u32(p.src.0);
-    e.u32(p.dst.0);
-    e.i64(p.amount.micros());
-    e.f64(p.arrival);
-    e.f64(p.deadline);
-    e.i64(p.delivered.micros());
-    e.i64(p.inflight.micros());
-    e.u8(match p.status {
-        PaymentStatus::Pending => 0,
-        PaymentStatus::Completed => 1,
-        PaymentStatus::Abandoned => 2,
-    });
-    match p.completed_at {
-        Some(t) => {
-            e.u8(1);
-            e.f64(t);
-        }
-        None => e.u8(0),
     }
 }
 
-pub(crate) fn dec_payment(d: &mut Dec) -> Result<PaymentState, SnapshotError> {
-    Ok(PaymentState {
-        id: spider_core::PaymentId(d.u64()?),
-        src: NodeId(d.u32()?),
-        dst: NodeId(d.u32()?),
-        amount: Amount::from_micros(d.i64()?),
-        arrival: d.f64()?,
-        deadline: d.f64()?,
-        delivered: Amount::from_micros(d.i64()?),
-        inflight: Amount::from_micros(d.i64()?),
-        status: match d.u8()? {
-            0 => PaymentStatus::Pending,
-            1 => PaymentStatus::Completed,
-            2 => PaymentStatus::Abandoned,
-            other => {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("payment status byte {other}"),
-                })
-            }
-        },
-        completed_at: d.opt(|d| d.f64())?,
-    })
-}
-
-/// Fault-runtime state in a snapshot: the fault subsystem's own snapshot,
-/// plus the sender-recovery locals — per-channel blacklist expiry times,
-/// per-payment failed-attempt counts, per-payment retry-backoff deadlines.
-type FaultResume = (
-    crate::faults::FaultStateSnapshot,
-    Vec<f64>,
-    Vec<u32>,
-    Vec<f64>,
-);
-
-/// Sequential-engine state restored from a snapshot's `SEC_CORE` section —
-/// every `run_inner` local that is not rebuilt from the config.
-struct SeqResume {
-    ticks: u64,
-    channels: Vec<[i64; 4]>,
-    queue_entries: Vec<(f64, u64, Event)>,
-    queue_next_seq: u64,
-    payments: Vec<PaymentState>,
-    pending: Vec<usize>,
-    faults: Option<FaultResume>,
-    rebalance_pending: Vec<bool>,
-    rebalance_stats: RebalanceStats,
-    congestion: Option<Vec<(NodeId, NodeId, f64, u32)>>,
-    units: Vec<UnitRecord>,
-    timers: Vec<Timer>,
-    amp_held: Vec<Vec<usize>>,
-    routing_fees_paid: Amount,
-    release_violations: Vec<AuditViolation>,
-    units_sent: u64,
-    series: Vec<(f64, f64, f64)>,
-    audit: Option<crate::audit::AuditState>,
-    network_series: Vec<NetworkSample>,
-    next_sample: f64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn encode_seq_core(
-    ticks: u64,
-    network: &Network,
-    ledger: &Ledger,
-    queue: &EventQueue<Event>,
-    payments: &[PaymentState],
-    pending: &[usize],
-    faults: &Option<FaultRuntime>,
-    rebalance_pending: &[bool],
-    rebalance_stats: &RebalanceStats,
-    congestion: &Option<CongestionControl>,
-    units: &[UnitRecord],
-    timers: &BinaryHeap<Reverse<Timer>>,
-    amp_held: &[Vec<usize>],
-    routing_fees_paid: Amount,
-    release_violations: &[AuditViolation],
-    units_sent: u64,
-    series: &[(f64, f64, f64)],
-    audit: &Option<LedgerAudit>,
-    network_series: &[NetworkSample],
-    next_sample: f64,
-) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(ticks);
-    e.usize(network.num_channels());
-    for i in 0..network.num_channels() {
-        for v in ledger.export_channel(ChannelId::from(i)) {
-            e.i64(v);
-        }
-    }
-    // Event-queue entries in exact pop order with their original sequence
-    // numbers; re-pushing them restores identical drain order.
-    let entries = queue.entries();
-    e.usize(entries.len());
-    for (t, seq, event) in &entries {
-        e.f64(*t);
-        e.u64(*seq);
-        enc_event(&mut e, event);
-    }
-    e.u64(queue.next_seq());
-    e.seq(payments, enc_payment);
-    e.seq(pending, |e, &i| e.usize(i));
-    match faults {
-        Some(fr) => {
-            e.u8(1);
-            let snap = fr.state.export_state();
-            e.bytes(&snap.down_causes);
-            e.seq(&snap.node_down, |e, &b| e.bool(b));
-            e.u64(snap.rng_state);
-            snapshot::enc_json(&mut e, &snap.stats);
-            e.seq(fr.blacklist.slots(), |e, &t| e.f64(t));
-            e.seq(&fr.fail_count, |e, &c| e.u32(c));
-            e.seq(&fr.not_before, |e, &t| e.f64(t));
-        }
-        None => e.u8(0),
-    }
-    e.seq(rebalance_pending, |e, &b| e.bool(b));
-    e.usize(rebalance_stats.transactions);
-    e.f64(rebalance_stats.moved_volume);
-    e.f64(rebalance_stats.fees_paid);
-    match congestion {
-        Some(cc) => {
-            e.u8(1);
-            e.seq(&cc.export_state(), |e, (s, d, w, o)| {
-                e.u32(s.0);
-                e.u32(d.0);
-                e.f64(*w);
-                e.u32(*o);
-            });
-        }
-        None => e.u8(0),
-    }
-    e.seq(units, |e, u| {
-        e.usize(u.payment);
-        enc_path(e, &u.path);
-        e.i64(u.amount.micros());
-        match &u.hop_amounts {
-            Some(h) => {
-                e.u8(1);
-                e.seq(h, |e, a| e.i64(a.micros()));
-            }
+impl Codec for UnitRecord {
+    fn enc(&self, e: &mut Enc) {
+        e.usize(self.payment);
+        self.path.enc(e);
+        self.amount.enc(e);
+        self.hop_amounts.enc(e);
+        match self.fault {
             None => e.u8(0),
+            Some(UnitFault::Dropped(c)) => (1u8, c).enc(e),
+            Some(UnitFault::Griefed(c)) => (2u8, c).enc(e),
         }
-        match u.fault {
-            Some(UnitFault::Dropped(c)) => {
-                e.u8(1);
-                e.u32(c.0);
-            }
-            Some(UnitFault::Griefed(c)) => {
-                e.u8(2);
-                e.u32(c.0);
-            }
-            None => e.u8(0),
-        }
-        e.bool(u.resolved);
-    });
-    // Timers in their deterministic `Ord` order — heap iteration order is
-    // arbitrary, so sort the capture; re-pushing restores identical pops.
-    let mut timer_list: Vec<(f64, usize, u8)> = timers
-        .iter()
-        .map(|Reverse(t)| {
-            (
-                t.time,
-                t.payment,
-                match t.kind {
-                    TimerKind::Deadline => 0,
-                    TimerKind::Retry => 1,
-                },
-            )
+        e.bool(self.resolved);
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        Ok(UnitRecord {
+            payment: d.usize()?,
+            path: Codec::dec(d, net)?,
+            amount: Amount::dec(d, net)?,
+            hop_amounts: Codec::dec(d, net)?,
+            fault: match d.u8()? {
+                0 => None,
+                1 => Some(UnitFault::Dropped(ChannelId::dec(d, net)?)),
+                2 => Some(UnitFault::Griefed(ChannelId::dec(d, net)?)),
+                other => return Err(snapshot::invalid(d, format!("unit fault byte {other}"))),
+            },
+            resolved: d.bool()?,
         })
-        .collect();
-    timer_list.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    e.seq(&timer_list, |e, (t, p, k)| {
-        e.f64(*t);
-        e.usize(*p);
-        e.u8(*k);
-    });
-    e.usize(amp_held.len());
-    for held in amp_held {
-        e.seq(held, |e, &u| e.usize(u));
     }
-    e.i64(routing_fees_paid.micros());
-    snapshot::enc_json(&mut e, &release_violations.to_vec());
-    e.u64(units_sent);
-    e.seq(series, |e, (t, r, v)| {
-        e.f64(*t);
-        e.f64(*r);
-        e.f64(*v);
-    });
-    match audit {
-        Some(a) => {
-            e.u8(1);
-            snapshot::enc_json(&mut e, &a.export_state());
-        }
-        None => e.u8(0),
-    }
-    e.seq(network_series, |e, s| {
-        e.f64(s.t);
-        e.f64(s.mean_imbalance);
-        e.f64(s.total_inflight);
-        e.u32(s.pending);
-        e.u32(s.max_queue_depth);
-    });
-    e.f64(next_sample);
-    e.into_bytes()
 }
 
-fn decode_seq_core(bytes: &[u8], network: &Network) -> Result<SeqResume, SnapshotError> {
-    let mut d = Dec::new(bytes);
-    let ticks = d.u64()?;
-    let num_channels = d.usize()?;
-    if num_channels != network.num_channels() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "snapshot has {num_channels} channels, network has {}",
-                network.num_channels()
-            ),
-        });
-    }
-    let mut channels = Vec::with_capacity(num_channels);
-    for _ in 0..num_channels {
-        channels.push([d.i64()?, d.i64()?, d.i64()?, d.i64()?]);
-    }
-    let n_entries = d.usize()?;
-    let mut queue_entries = Vec::with_capacity(n_entries.min(d.remaining()));
-    for _ in 0..n_entries {
-        let t = d.f64()?;
-        if !t.is_finite() {
-            return Err(SnapshotError::Corrupt {
-                what: "non-finite event time".to_string(),
-            });
-        }
-        let seq = d.u64()?;
-        queue_entries.push((t, seq, dec_event(&mut d)?));
-    }
-    let queue_next_seq = d.u64()?;
-    let n_payments = d.usize()?;
-    let mut payments = Vec::with_capacity(n_payments.min(d.remaining()));
-    for _ in 0..n_payments {
-        payments.push(dec_payment(&mut d)?);
-    }
-    let pending = d.seq(|d| d.usize())?;
-    let faults = match d.u8()? {
-        0 => None,
-        1 => {
-            let down_causes = d.bytes()?.to_vec();
-            let node_down = d.seq(|d| d.bool())?;
-            let rng_state = d.u64()?;
-            let stats = snapshot::dec_json(&mut d)?;
-            let slots = d.seq(|d| d.f64())?;
-            let fail_count = d.seq(|d| d.u32())?;
-            let not_before = d.seq(|d| d.f64())?;
-            Some((
-                crate::faults::FaultStateSnapshot {
-                    down_causes,
-                    node_down,
-                    rng_state,
-                    stats,
-                },
-                slots,
-                fail_count,
-                not_before,
-            ))
-        }
-        other => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("fault presence byte {other}"),
-            })
-        }
-    };
-    let rebalance_pending = d.seq(|d| d.bool())?;
-    let rebalance_stats = RebalanceStats {
-        transactions: d.usize()?,
-        moved_volume: d.f64()?,
-        fees_paid: d.f64()?,
-    };
-    let congestion = match d.u8()? {
-        0 => None,
-        1 => Some(d.seq(|d| Ok((NodeId(d.u32()?), NodeId(d.u32()?), d.f64()?, d.u32()?)))?),
-        other => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("congestion presence byte {other}"),
-            })
-        }
-    };
-    let n_units = d.usize()?;
-    let mut units = Vec::with_capacity(n_units.min(d.remaining()));
-    for _ in 0..n_units {
-        let payment = d.usize()?;
-        let path = dec_path(&mut d, network)?;
-        let amount = Amount::from_micros(d.i64()?);
-        let hop_amounts = d.opt(|d| d.seq(|d| Ok(Amount::from_micros(d.i64()?))))?;
-        let fault = match d.u8()? {
-            0 => None,
-            1 => Some(UnitFault::Dropped(ChannelId(d.u32()?))),
-            2 => Some(UnitFault::Griefed(ChannelId(d.u32()?))),
-            other => {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("unit fault byte {other}"),
-                })
-            }
+impl Codec for Timer {
+    fn enc(&self, e: &mut Enc) {
+        let kind: u8 = match self.kind {
+            TimerKind::Deadline => 0,
+            TimerKind::Retry => 1,
         };
-        let resolved = d.bool()?;
-        if payment >= payments.len() {
-            return Err(SnapshotError::Corrupt {
-                what: format!("unit references payment {payment} of {}", payments.len()),
-            });
+        (self.time, self.payment, kind).enc(e);
+    }
+    fn dec(d: &mut Dec, _: &Network) -> Result<Self, BinError> {
+        Ok(Timer {
+            time: d.f64()?,
+            payment: d.usize()?,
+            kind: match d.u8()? {
+                0 => TimerKind::Deadline,
+                1 => TimerKind::Retry,
+                other => return Err(snapshot::invalid(d, format!("timer kind byte {other}"))),
+            },
+        })
+    }
+}
+
+/// The fault runtime's capture: the fault subsystem's own snapshot plus the
+/// per-channel blacklist expiry times and the per-payment failed-attempt
+/// counts and retry-backoff deadlines.
+type FaultCapture = (FaultStateSnapshot, Vec<f64>, Vec<u32>, Vec<f64>);
+
+impl SeqState {
+    /// A fresh run: every arrival, the first tick, the first rebalance check,
+    /// and the fault plan's transitions are queued.
+    fn new(network: &Network, transactions: &[Transaction], config: &SimConfig) -> Self {
+        let mut core = EventCore::new(network, &config.telemetry);
+        core.payments.reserve(transactions.len());
+        for (i, tx) in transactions.iter().enumerate() {
+            if tx.arrival <= config.end_time {
+                core.queue.push(tx.arrival, Event::Arrival(i));
+            }
         }
-        units.push(UnitRecord {
-            payment,
-            path,
-            amount,
-            hop_amounts,
-            fault,
-            resolved,
+        core.queue.push(config.poll_interval, Event::Tick);
+        if let Some(policy) = &config.rebalance {
+            core.queue
+                .push(policy.check_interval, Event::RebalanceCheck);
+        }
+        if let Some(plan) = &config.faults {
+            for (t, ev) in &plan.events {
+                if *t <= config.end_time {
+                    core.queue.push(*t, Event::Fault(ev.clone()));
+                }
+            }
+        }
+        let audit = config.audit.then(|| LedgerAudit::new(&core.ledger));
+        SeqState {
+            core,
+            faults: config
+                .faults
+                .as_ref()
+                .map(|plan| FaultRuntime::new(plan, network)),
+            rebalance_pending: vec![false; network.num_channels()],
+            rebalance_stats: RebalanceStats::default(),
+            congestion: config.congestion.map(CongestionControl::new),
+            units: Vec::new(),
+            timers: BinaryHeap::new(),
+            amp_held: Vec::new(),
+            routing_fees_paid: Amount::ZERO,
+            release_violations: Vec::new(),
+            units_sent: 0,
+            series: Vec::new(),
+            audit,
+        }
+    }
+
+    /// The `SEC_CORE` section.
+    fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        self.core.enc_prefix(&mut e);
+        let faults: Option<FaultCapture> = self.faults.as_ref().map(|fr| {
+            (
+                fr.state.export_state(),
+                fr.blacklist.slots().to_vec(),
+                fr.fail_count.clone(),
+                fr.not_before.clone(),
+            )
         });
+        faults.enc(&mut e);
+        self.rebalance_pending.enc(&mut e);
+        let rs = &self.rebalance_stats;
+        (rs.transactions, rs.moved_volume, rs.fees_paid).enc(&mut e);
+        self.congestion
+            .as_ref()
+            .map(CongestionControl::export_state)
+            .enc(&mut e);
+        self.units.enc(&mut e);
+        // Timers in their deterministic `Ord` order — heap iteration order
+        // is arbitrary, so sort the capture; re-pushing restores identical
+        // pops.
+        let mut timers: Vec<&Timer> = self.timers.iter().map(|Reverse(t)| t).collect();
+        timers.sort();
+        e.seq(&timers, |e, t| t.enc(e));
+        self.amp_held.enc(&mut e);
+        self.routing_fees_paid.enc(&mut e);
+        snapshot::enc_json(&mut e, &self.release_violations);
+        e.u64(self.units_sent);
+        self.series.enc(&mut e);
+        self.audit.enc(&mut e);
+        self.core.enc_suffix(&mut e);
+        e.into_bytes()
     }
-    let timers = d.seq(|d| Ok((d.f64()?, d.usize()?, d.u8()?)))?;
-    let timers: Vec<Timer> = timers
-        .into_iter()
-        .map(|(time, payment, kind)| {
-            Ok(Timer {
-                time,
-                payment,
-                kind: match kind {
-                    0 => TimerKind::Deadline,
-                    1 => TimerKind::Retry,
-                    other => {
-                        return Err(SnapshotError::Corrupt {
-                            what: format!("timer kind byte {other}"),
-                        })
-                    }
-                },
-            })
-        })
-        .collect::<Result<_, SnapshotError>>()?;
-    let n_held = d.usize()?;
-    let mut amp_held = Vec::with_capacity(n_held.min(d.remaining()));
-    for _ in 0..n_held {
-        amp_held.push(d.seq(|d| d.usize())?);
-    }
-    let routing_fees_paid = Amount::from_micros(d.i64()?);
-    let release_violations: Vec<AuditViolation> = snapshot::dec_json(&mut d)?;
-    let units_sent = d.u64()?;
-    let series = d.seq(|d| Ok((d.f64()?, d.f64()?, d.f64()?)))?;
-    let audit = match d.u8()? {
-        0 => None,
-        1 => Some(snapshot::dec_json(&mut d)?),
-        other => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("audit presence byte {other}"),
-            })
+
+    /// Decodes a `SEC_CORE` section written by [`encode`](Self::encode),
+    /// cross-checking feature presence against `config` and range-checking
+    /// every index it carries.
+    fn decode(
+        bytes: &[u8],
+        network: &Network,
+        transactions: &[Transaction],
+        config: &SimConfig,
+    ) -> Result<Self, SnapshotError> {
+        let d = &mut Dec::new(bytes);
+        let core = EventCore::dec_prefix(d, network)?;
+        let captured: Option<FaultCapture> = Codec::dec(d, network)?;
+        snapshot::check_presence("fault", captured.is_some(), config.faults.is_some())?;
+        let faults = match (captured, &config.faults) {
+            (Some((snap, slots, fail_count, not_before)), Some(plan)) => {
+                let mut fr = FaultRuntime::new(plan, network);
+                fr.state.restore_state(snap).map_err(corrupt)?;
+                fr.blacklist.restore_slots(slots).map_err(corrupt)?;
+                let n = core.payments.len();
+                if fail_count.len() != n || not_before.len() != n {
+                    return Err(corrupt(format!(
+                        "retry state covers {} / {} payments of {n}",
+                        fail_count.len(),
+                        not_before.len()
+                    )));
+                }
+                fr.fail_count = fail_count;
+                fr.not_before = not_before;
+                Some(fr)
+            }
+            _ => None,
+        };
+        let rebalance_pending: Vec<bool> = Codec::dec(d, network)?;
+        if rebalance_pending.len() != network.num_channels() {
+            return Err(corrupt(format!(
+                "rebalance flags cover {} channels of {}",
+                rebalance_pending.len(),
+                network.num_channels()
+            )));
         }
-    };
-    let network_series = d.seq(|d| {
-        Ok(NetworkSample {
-            t: d.f64()?,
-            mean_imbalance: d.f64()?,
-            total_inflight: d.f64()?,
-            pending: d.u32()?,
-            max_queue_depth: d.u32()?,
+        let (transactions_done, moved_volume, fees_paid) = Codec::dec(d, network)?;
+        let windows: Option<Vec<(NodeId, NodeId, f64, u32)>> = Codec::dec(d, network)?;
+        snapshot::check_presence("congestion", windows.is_some(), config.congestion.is_some())?;
+        let congestion = config.congestion.map(|cfg| {
+            let mut cc = CongestionControl::new(cfg);
+            cc.restore_state(windows.as_deref().unwrap_or_default());
+            cc
+        });
+        let units: Vec<UnitRecord> = Codec::dec(d, network)?;
+        let timers: Vec<Timer> = Codec::dec(d, network)?;
+        let amp_held: Vec<Vec<usize>> = Codec::dec(d, network)?;
+        let routing_fees_paid = Amount::dec(d, network)?;
+        let release_violations = snapshot::dec_json(d)?;
+        let units_sent = d.u64()?;
+        let series = Codec::dec(d, network)?;
+        let audit: Option<LedgerAudit> = Codec::dec(d, network)?;
+        snapshot::check_presence("audit", audit.is_some(), config.audit)?;
+        let mut st = SeqState {
+            core,
+            faults,
+            rebalance_pending,
+            rebalance_stats: RebalanceStats {
+                transactions: transactions_done,
+                moved_volume,
+                fees_paid,
+            },
+            congestion,
+            units,
+            timers: timers.into_iter().map(Reverse).collect(),
+            amp_held,
+            routing_fees_paid,
+            release_violations,
+            units_sent,
+            series,
+            audit,
+        };
+        st.core.dec_suffix(d, network)?;
+        d.expect_end()?;
+        st.check_indices(transactions.len())?;
+        Ok(st)
+    }
+
+    /// Range-checks the payment, unit, and transaction indices the decoded
+    /// state carries, so a tampered snapshot fails here instead of
+    /// panicking inside the event loop.
+    fn check_indices(&self, num_transactions: usize) -> Result<(), SnapshotError> {
+        let payments = self.core.payments.len();
+        let units = self.units.len();
+        for u in &self.units {
+            snapshot::check_index("unit payment", u.payment, payments)?;
+            if u.hop_amounts
+                .as_ref()
+                .is_some_and(|h| h.len() != u.path.len())
+            {
+                return Err(corrupt("unit hop amounts do not match its path"));
+            }
+        }
+        for Reverse(t) in &self.timers {
+            snapshot::check_index("timer payment", t.payment, payments)?;
+        }
+        for &ui in self.amp_held.iter().flatten() {
+            snapshot::check_index("held unit", ui, units)?;
+        }
+        self.core.check_events(|ev| match ev {
+            Event::Arrival(i) => snapshot::check_index("arrival", *i, num_transactions),
+            Event::Settle { unit } | Event::FaultExpire { unit } => {
+                snapshot::check_index("event unit", *unit, units)
+            }
+            _ => Ok(()),
         })
-    })?;
-    let next_sample = d.f64()?;
-    d.expect_end()?;
-    Ok(SeqResume {
-        ticks,
-        channels,
-        queue_entries,
-        queue_next_seq,
-        payments,
-        pending,
-        faults,
-        rebalance_pending,
-        rebalance_stats,
-        congestion,
-        units,
-        timers,
-        amp_held,
-        routing_fees_paid,
-        release_violations,
-        units_sent,
-        series,
-        audit,
-        network_series,
-        next_sample,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -22,37 +22,23 @@
 //! instead of at the sender.
 
 use crate::audit::AuditViolation;
-use crate::engine::{
-    dec_fault_event, dec_path, dec_payment, enc_fault_event, enc_path, enc_payment, record_release,
-    sample_network,
-};
+use crate::engine::{record_release, sample_network};
 use crate::events::EventQueue;
-use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultView};
+use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultStateSnapshot, FaultView};
 use crate::ledger::Ledger;
 use crate::metrics::SimReport;
 use crate::payment::{PaymentState, PaymentStatus};
 use crate::rebalancer::RebalanceStats;
-use crate::scheduler::SchedulePolicy;
-use crate::snapshot::{self, CheckpointSpec, SnapshotError};
+use crate::scheduler::{QueuePolicy, SchedulePolicy};
+use crate::snapshot::{
+    self, corrupt, CheckpointSpec, Codec, EventCore, Fingerprint, SnapshotError,
+};
 use serde::{Deserialize, Serialize};
-use spider_core::{crc32, Amount, ChannelId, Dec, Direction, Enc, Network, Path};
+use spider_core::{crc32, Amount, BinError, ChannelId, Dec, Direction, Enc, Network, Path};
 use spider_routing::{path_bottleneck, PathCache, PathStrategy};
-use spider_telemetry::{Histogram, NetworkSample, Phase, Telemetry, TraceEvent};
+use spider_telemetry::{Histogram, Phase, Telemetry, TraceEvent};
 use spider_workload::Transaction;
 use std::collections::VecDeque;
-
-/// Queue service order at routers (§4.2: "prioritize payments based on
-/// size, deadline, or routing fees").
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QueuePolicy {
-    /// First come, first served.
-    #[default]
-    Fifo,
-    /// Smallest unit first (cheap to service, frees head-of-line).
-    SmallestFirst,
-    /// Earliest payment deadline first.
-    EarliestDeadline,
-}
 
 /// Configuration for the router-queue engine.
 #[derive(Clone, Debug)]
@@ -199,24 +185,21 @@ pub fn resume_queued(
     snapshot_path: &std::path::Path,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<QueuedReport, SnapshotError> {
-    let snap = snapshot::read_snapshot(snapshot_path)?;
     let fp = fingerprint_queued(network, transactions, config);
-    snap.check(snapshot::ENGINE_QUEUED, fp)?;
-    let state = decode_queued_core(snap.section(snapshot::SEC_CORE)?, network)?;
-    let tel_state =
-        snapshot::decode_telemetry(snap.section_opt(snapshot::SEC_TELEMETRY).unwrap_or(&[]))?;
-    if let Some(ts) = tel_state {
-        config
-            .telemetry
-            .restore_from_state(ts)
-            .map_err(|e| SnapshotError::Unsupported {
-                what: format!("telemetry restore: {e}"),
-            })?;
-    } else if config.telemetry.is_enabled() {
-        return Err(SnapshotError::Corrupt {
-            what: "snapshot lacks telemetry state for an enabled handle".to_string(),
-        });
-    }
+    let state = snapshot::resume_snapshot(
+        snapshot_path,
+        snapshot::ENGINE_QUEUED,
+        fp,
+        &config.telemetry,
+        |snap| {
+            QueuedState::decode(
+                snap.section(snapshot::SEC_CORE)?,
+                network,
+                transactions,
+                config,
+            )
+        },
+    )?;
     run_queued_inner(network, transactions, config, Some(state), ckpt)
 }
 
@@ -225,7 +208,7 @@ fn run_queued_inner(
     network: &Network,
     transactions: &[Transaction],
     config: &QueuedConfig,
-    resume: Option<QueuedResume>,
+    resume: Option<QueuedState>,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<QueuedReport, SnapshotError> {
     assert!(config.hop_delay > 0.0 && config.delta > 0.0 && config.poll_interval > 0.0);
@@ -237,111 +220,23 @@ fn run_queued_inner(
         0
     };
 
-    let mut ledger = Ledger::new(network);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut payments: Vec<PaymentState> = Vec::new();
-    let mut pending: Vec<usize> = Vec::new();
-    let mut units: Vec<UnitState> = Vec::new();
-    let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(config.num_paths));
-
-    // One queue per (channel, direction).
-    let nq = network.num_channels();
-    let mut router_queues: Vec<[VecDeque<usize>; 2]> = (0..nq)
-        .map(|_| [VecDeque::new(), VecDeque::new()])
-        .collect();
+    // A resumed run restores the event queue (arrivals not yet processed,
+    // the next tick, pending fault transitions, ...) wholesale from the
+    // snapshot, so the initial pushes happen only in a fresh state.
+    let mut st = match resume {
+        Some(st) => st,
+        None => QueuedState::new(network, transactions, config),
+    };
     let slot = |d: Direction| match d {
         Direction::AtoB => 0usize,
         Direction::BtoA => 1usize,
     };
-
-    let mut stats = QueueStats::default();
-    let mut total_wait = 0.0f64;
-    let mut dequeues = 0usize;
-    let mut units_sent: u64 = 0;
-
-    let mut faults: Option<FaultState> = config
-        .faults
-        .as_ref()
-        .map(|plan| FaultState::new(plan, network));
     // This engine has no sender blacklist (routers absorb outages in their
     // queues); an always-empty blacklist satisfies the masked view.
-    let blacklist = Blacklist::new(nq);
-    let mut release_violations: Vec<AuditViolation> = Vec::new();
-
+    let blacklist = Blacklist::new(network.num_channels());
     let tel = &config.telemetry;
-    let mut network_series: Vec<NetworkSample> = Vec::new();
-    // Sampling piggybacks on Tick events; see `sample_network`.
-    let mut next_sample = tel.sample_interval().unwrap_or(f64::INFINITY);
 
-    let mut ticks: u64 = 0;
-    if let Some(st) = resume {
-        // Every local above is overwritten from the snapshot; the event
-        // queue is restored wholesale (with original sequence numbers), so
-        // none of the initial pushes happen here.
-        ticks = st.ticks;
-        for (i, raw) in st.channels.into_iter().enumerate() {
-            ledger.restore_channel(ChannelId::from(i), raw);
-        }
-        for (t, seq, event) in st.queue_entries {
-            queue.push_with_seq(t, seq, event);
-        }
-        queue.set_next_seq(st.queue_next_seq);
-        payments = st.payments;
-        pending = st.pending;
-        if let Some(snap) = st.faults {
-            let fs = faults.as_mut().ok_or_else(|| SnapshotError::Corrupt {
-                what: "snapshot has fault state but config has no fault plan".to_string(),
-            })?;
-            fs.restore_state(snap)
-                .map_err(|what| SnapshotError::Corrupt { what })?;
-        } else if faults.is_some() {
-            return Err(SnapshotError::Corrupt {
-                what: "config has a fault plan but snapshot has no fault state".to_string(),
-            });
-        }
-        units = st.units;
-        paths
-            .restore(network, &st.path_cache)
-            .map_err(|e| SnapshotError::Corrupt {
-                what: format!("path cache: {e}"),
-            })?;
-        if st.router_queues.len() != nq {
-            return Err(SnapshotError::Corrupt {
-                what: format!(
-                    "snapshot has {} router queues, network has {nq} channels",
-                    st.router_queues.len()
-                ),
-            });
-        }
-        router_queues = st
-            .router_queues
-            .into_iter()
-            .map(|[a, b]| [VecDeque::from(a), VecDeque::from(b)])
-            .collect();
-        stats = st.stats;
-        total_wait = st.total_wait;
-        dequeues = st.dequeues;
-        units_sent = st.units_sent;
-        release_violations = st.release_violations;
-        network_series = st.network_series;
-        next_sample = st.next_sample;
-    } else {
-        for (i, tx) in transactions.iter().enumerate() {
-            if tx.arrival <= config.end_time {
-                queue.push(tx.arrival, Event::Arrival(i));
-            }
-        }
-        queue.push(config.poll_interval, Event::Tick);
-        if let Some(plan) = &config.faults {
-            for (t, ev) in &plan.events {
-                if *t <= config.end_time {
-                    queue.push(*t, Event::Fault(ev.clone()));
-                }
-            }
-        }
-    }
-
-    while let Some((now, event)) = queue.pop() {
+    while let Some((now, event)) = st.core.queue.pop() {
         if now > config.end_time {
             break;
         }
@@ -351,8 +246,8 @@ fn run_queued_inner(
                 tel.span_sim(Phase::RoutingDecision, now);
                 tel.span_items(Phase::RoutingDecision, 1);
                 let tx = &transactions[i];
-                let idx = payments.len();
-                payments.push(PaymentState {
+                let idx = st.core.payments.len();
+                st.core.payments.push(PaymentState {
                     id: tx.id,
                     src: tx.src,
                     dst: tx.dst,
@@ -379,19 +274,19 @@ fn run_queued_inner(
                     units: ((tx.amount.micros() + config.mtu.micros() - 1) / config.mtu.micros())
                         .max(0) as u64,
                 });
-                pending.push(idx);
+                st.core.pending.push(idx);
                 pump_source(
                     network,
-                    &mut ledger,
-                    &mut paths,
+                    &mut st.core.ledger,
+                    &mut st.paths,
                     config,
                     idx,
-                    &mut payments,
-                    &mut units,
-                    &mut queue,
+                    &mut st.core.payments,
+                    &mut st.units,
+                    &mut st.core.queue,
                     now,
-                    &mut units_sent,
-                    faults.as_ref(),
+                    &mut st.units_sent,
+                    st.faults.as_ref(),
                     &blacklist,
                 );
             }
@@ -399,8 +294,8 @@ fn run_queued_inner(
                 let _span = tel.span_enter(Phase::QueueDrain);
                 tel.span_sim(Phase::QueueDrain, now);
                 tel.counter_add("sim.scheduler.polls", 1);
-                for &i in &pending {
-                    let p = &mut payments[i];
+                for &i in &st.core.pending {
+                    let p = &mut st.core.payments[i];
                     if p.status == PaymentStatus::Pending && now >= p.deadline {
                         p.status = PaymentStatus::Abandoned;
                         tel.counter_add("sim.payments.abandoned", 1);
@@ -411,17 +306,20 @@ fn run_queued_inner(
                         });
                     }
                 }
-                pending.retain(|&i| payments[i].status == PaymentStatus::Pending);
+                st.core
+                    .pending
+                    .retain(|&i| st.core.payments[i].status == PaymentStatus::Pending);
                 // Sweep expired units out of router queues so their upstream
                 // locks are refunded promptly (not only when a settlement
                 // happens to poke the queue).
-                for queues in router_queues.iter_mut() {
+                for queues in st.router_queues.iter_mut() {
                     for q in queues.iter_mut() {
                         let expired: Vec<usize> = q
                             .iter()
                             .copied()
                             .filter(|&u| {
-                                !units[u].dropped && payments[units[u].payment].deadline <= now
+                                !st.units[u].dropped
+                                    && st.core.payments[st.units[u].payment].deadline <= now
                             })
                             .collect();
                         if expired.is_empty() {
@@ -431,101 +329,85 @@ fn run_queued_inner(
                         for u in expired {
                             drop_unit(
                                 network,
-                                &mut ledger,
+                                &mut st.core.ledger,
                                 u,
-                                &mut units,
-                                &mut payments,
-                                &mut stats,
+                                &mut st.units,
+                                &mut st.core.payments,
+                                &mut st.stats,
                                 tel,
                                 now,
-                                &mut release_violations,
+                                &mut st.release_violations,
                             );
                         }
                     }
                 }
-                config.source_policy.order(&payments, &mut pending);
-                let order = pending.clone();
+                config
+                    .source_policy
+                    .order(&st.core.payments, &mut st.core.pending);
+                let order = st.core.pending.clone();
                 for i in order {
-                    if payments[i].status == PaymentStatus::Pending {
+                    if st.core.payments[i].status == PaymentStatus::Pending {
                         pump_source(
                             network,
-                            &mut ledger,
-                            &mut paths,
+                            &mut st.core.ledger,
+                            &mut st.paths,
                             config,
                             i,
-                            &mut payments,
-                            &mut units,
-                            &mut queue,
+                            &mut st.core.payments,
+                            &mut st.units,
+                            &mut st.core.queue,
                             now,
-                            &mut units_sent,
-                            faults.as_ref(),
+                            &mut st.units_sent,
+                            st.faults.as_ref(),
                             &blacklist,
                         );
                     }
                 }
-                pending.retain(|&i| payments[i].status == PaymentStatus::Pending);
-                if now + 1e-12 >= next_sample {
+                st.core
+                    .pending
+                    .retain(|&i| st.core.payments[i].status == PaymentStatus::Pending);
+                if now + 1e-12 >= st.core.next_sample {
                     sample_network(
                         network,
-                        &ledger,
-                        &payments,
+                        &st.core.ledger,
+                        &st.core.payments,
                         now,
                         tel,
-                        &mut network_series,
+                        &mut st.core.network_series,
                         &|c| {
-                            (router_queues[c.index()][0].len() + router_queues[c.index()][1].len())
+                            (st.router_queues[c.index()][0].len()
+                                + st.router_queues[c.index()][1].len())
                                 as u32
                         },
                     );
                     // Sampling only runs on enabled handles, which always
                     // carry an interval; fall back to the poll cadence.
                     let interval = tel.sample_interval().unwrap_or(config.poll_interval);
-                    while next_sample <= now + 1e-12 {
-                        next_sample += interval;
+                    while st.core.next_sample <= now + 1e-12 {
+                        st.core.next_sample += interval;
                     }
                 }
                 let next = now + config.poll_interval;
                 if next <= config.end_time {
-                    queue.push(next, Event::Tick);
+                    st.core.queue.push(next, Event::Tick);
                 }
-                ticks += 1;
+                st.core.ticks += 1;
                 if let Some(ck) = ckpt {
-                    if ticks.is_multiple_of(ck.every) {
-                        let core = encode_queued_core(
-                            ticks,
-                            network,
-                            &ledger,
-                            &queue,
-                            &payments,
-                            &pending,
-                            &units,
-                            &paths,
-                            &router_queues,
-                            &stats,
-                            total_wait,
-                            dequeues,
-                            units_sent,
-                            &faults,
-                            &release_violations,
-                            &network_series,
-                            next_sample,
-                        );
-                        let tel_bytes = snapshot::encode_telemetry(&tel.export_state());
-                        snapshot::write_snapshot(
-                            &ck.dir,
+                    if st.core.ticks.is_multiple_of(ck.every) {
+                        snapshot::write_event_snapshot(
+                            ck,
                             snapshot::ENGINE_QUEUED,
                             fp,
-                            ticks,
-                            &[
-                                (snapshot::SEC_CORE, core),
-                                (snapshot::SEC_TELEMETRY, tel_bytes),
-                            ],
+                            st.core.ticks,
+                            st.encode(),
+                            None,
+                            tel,
                         )?;
                     }
                 }
             }
             Event::HopArrive { unit } => {
-                let u = &units[unit];
+                let u = &st.units[unit];
                 if u.dropped {
                     continue;
                 }
@@ -534,27 +416,29 @@ fn run_queued_inner(
                 tel.span_items(Phase::QueueDrain, 1);
                 if u.locked == u.path.len() {
                     // Reached the destination; key released after Δ.
-                    queue.push(now + config.delta, Event::SettleUnit { unit });
+                    st.core
+                        .queue
+                        .push(now + config.delta, Event::SettleUnit { unit });
                     continue;
                 }
                 try_forward(
                     network,
-                    &mut ledger,
+                    &mut st.core.ledger,
                     config,
                     unit,
-                    &mut units,
-                    &mut router_queues,
-                    &mut queue,
-                    &mut payments,
+                    &mut st.units,
+                    &mut st.router_queues,
+                    &mut st.core.queue,
+                    &mut st.core.payments,
                     now,
-                    &mut stats,
+                    &mut st.stats,
                     slot,
-                    faults.as_ref(),
-                    &mut release_violations,
+                    st.faults.as_ref(),
+                    &mut st.release_violations,
                 );
             }
             Event::SettleUnit { unit } => {
-                if units[unit].dropped {
+                if st.units[unit].dropped {
                     // An outage refunded this unit during its Δ-wait; the
                     // receiver never got the key.
                     continue;
@@ -562,15 +446,15 @@ fn run_queued_inner(
                 let _span = tel.span_enter(Phase::SettleRefund);
                 tel.span_sim(Phase::SettleRefund, now);
                 tel.span_items(Phase::SettleRefund, 1);
-                let u = units[unit].clone();
+                let u = st.units[unit].clone();
                 debug_assert_eq!(u.locked, u.path.len());
                 for (i, &(c, _)) in u.path.hops().iter().enumerate() {
                     let to = u.path.nodes()[i + 1];
-                    if let Err(err) = ledger.settle_hop(network, c, to, u.amount) {
-                        record_release(&mut release_violations, now, "queued-settle", &err);
+                    if let Err(err) = st.core.ledger.settle_hop(network, c, to, u.amount) {
+                        record_release(&mut st.release_violations, now, "queued-settle", &err);
                     }
                 }
-                let p = &mut payments[u.payment];
+                let p = &mut st.core.payments[u.payment];
                 p.inflight -= u.amount;
                 p.delivered += u.amount;
                 let pid = p.id.0;
@@ -603,20 +487,20 @@ fn run_queued_inner(
                     let rev = slot(d.reverse());
                     drain_queue(
                         network,
-                        &mut ledger,
+                        &mut st.core.ledger,
                         config,
                         c,
                         rev,
-                        &mut units,
-                        &mut router_queues,
-                        &mut queue,
-                        &mut payments,
+                        &mut st.units,
+                        &mut st.router_queues,
+                        &mut st.core.queue,
+                        &mut st.core.payments,
                         now,
-                        &mut stats,
-                        &mut total_wait,
-                        &mut dequeues,
-                        faults.as_ref(),
-                        &mut release_violations,
+                        &mut st.stats,
+                        &mut st.total_wait,
+                        &mut st.dequeues,
+                        st.faults.as_ref(),
+                        &mut st.release_violations,
                     );
                 }
             }
@@ -624,7 +508,7 @@ fn run_queued_inner(
                 let _span = tel.span_enter(Phase::FaultProcessing);
                 tel.span_sim(Phase::FaultProcessing, now);
                 tel.span_items(Phase::FaultProcessing, 1);
-                let Some(fs) = faults.as_mut() else {
+                let Some(fs) = st.faults.as_mut() else {
                     // Fault events are only scheduled when a plan is
                     // installed.
                     continue;
@@ -659,36 +543,36 @@ fn run_queued_inner(
                     // channel: those in-flight locks can no longer settle and
                     // must be refunded to conserve funds. Units merely queued
                     // at the downed channel keep waiting for recovery.
-                    for u in 0..units.len() {
-                        if units[u].dropped {
+                    for u in 0..st.units.len() {
+                        if st.units[u].dropped {
                             continue;
                         }
-                        let crosses = units[u]
+                        let crosses = st.units[u]
                             .path
                             .hops()
                             .iter()
-                            .take(units[u].locked)
+                            .take(st.units[u].locked)
                             .any(|(c, _)| newly_down.contains(c));
                         if crosses {
                             drop_unit(
                                 network,
-                                &mut ledger,
+                                &mut st.core.ledger,
                                 u,
-                                &mut units,
-                                &mut payments,
-                                &mut stats,
+                                &mut st.units,
+                                &mut st.core.payments,
+                                &mut st.stats,
                                 tel,
                                 now,
-                                &mut release_violations,
+                                &mut st.release_violations,
                             );
                             fs.stats.units_refunded_by_outage += 1;
                         }
                     }
                     // Purge dropped units from router queues so they never
                     // block a head-of-line drain.
-                    for queues in router_queues.iter_mut() {
+                    for queues in st.router_queues.iter_mut() {
                         for q in queues.iter_mut() {
-                            q.retain(|&u| !units[u].dropped);
+                            q.retain(|&u| !st.units[u].dropped);
                         }
                     }
                 }
@@ -709,20 +593,20 @@ fn run_queued_inner(
                     for s in 0..2 {
                         drain_queue(
                             network,
-                            &mut ledger,
+                            &mut st.core.ledger,
                             config,
                             c,
                             s,
-                            &mut units,
-                            &mut router_queues,
-                            &mut queue,
-                            &mut payments,
+                            &mut st.units,
+                            &mut st.router_queues,
+                            &mut st.core.queue,
+                            &mut st.core.payments,
                             now,
-                            &mut stats,
-                            &mut total_wait,
-                            &mut dequeues,
-                            faults.as_ref(),
-                            &mut release_violations,
+                            &mut st.stats,
+                            &mut st.total_wait,
+                            &mut st.dequeues,
+                            st.faults.as_ref(),
+                            &mut st.release_violations,
                         );
                     }
                 }
@@ -730,39 +614,50 @@ fn run_queued_inner(
         }
     }
 
-    stats.mean_wait = if dequeues > 0 {
-        total_wait / dequeues as f64
+    st.stats.mean_wait = if st.dequeues > 0 {
+        st.total_wait / st.dequeues as f64
     } else {
         0.0
     };
-    debug_assert!(ledger.conserves_all());
+    debug_assert!(st.core.ledger.conserves_all());
 
-    let path_stats = paths.stats();
+    let path_stats = st.paths.stats();
     tel.counter_add("routing.paths.lookups", path_stats.lookups);
     tel.counter_add("routing.paths.computed_pairs", path_stats.computed_pairs);
     tel.counter_add("routing.paths.computed", path_stats.computed_paths);
 
-    let completed: Vec<&PaymentState> = payments
+    let completed: Vec<&PaymentState> = st
+        .core
+        .payments
         .iter()
         .filter(|p| p.status == PaymentStatus::Completed)
         .collect();
     let report = SimReport {
         scheme: "queued-waterfilling".to_string(),
         policy: format!("{}+{:?}", config.source_policy.name(), config.queue_policy),
-        attempted: payments.len(),
+        attempted: st.core.payments.len(),
         completed: completed.len(),
-        abandoned: payments
+        abandoned: st
+            .core
+            .payments
             .iter()
             .filter(|p| p.status == PaymentStatus::Abandoned)
             .count(),
-        pending_at_end: payments
+        pending_at_end: st
+            .core
+            .payments
             .iter()
             .filter(|p| p.status == PaymentStatus::Pending)
             .count(),
-        attempted_volume: payments.iter().map(|p| p.amount.as_tokens()).sum(),
-        delivered_volume: payments.iter().map(|p| p.delivered.as_tokens()).sum(),
+        attempted_volume: st.core.payments.iter().map(|p| p.amount.as_tokens()).sum(),
+        delivered_volume: st
+            .core
+            .payments
+            .iter()
+            .map(|p| p.delivered.as_tokens())
+            .sum(),
         completed_volume: completed.iter().map(|p| p.amount.as_tokens()).sum(),
-        units_sent,
+        units_sent: st.units_sent,
         mean_completion_delay: if completed.is_empty() {
             0.0
         } else {
@@ -772,20 +667,20 @@ fn run_queued_inner(
                 .sum::<f64>()
                 / completed.len() as f64
         },
-        final_mean_imbalance: ledger.mean_imbalance(),
+        final_mean_imbalance: st.core.ledger.mean_imbalance(),
         rebalance: RebalanceStats::default(),
         routing_fees_paid: 0.0,
         series: Vec::new(),
         audit_checks: 0,
-        audit_violations: release_violations,
+        audit_violations: st.release_violations,
         completion_delay_percentiles: tel.delay_percentiles("sim.completion_delay"),
-        telemetry: tel.summarize(network_series),
-        faults: faults.map(|fs| fs.stats),
+        telemetry: tel.summarize(st.core.network_series),
+        faults: st.faults.map(|fs| fs.stats),
         shards: None,
     };
     Ok(QueuedReport {
         report,
-        queues: stats,
+        queues: st.stats,
     })
 }
 
@@ -797,312 +692,219 @@ fn fingerprint_queued(
     let mut e = Enc::new();
     snapshot::enc_inputs(&mut e, network, transactions);
     e.str("queued-waterfilling");
-    e.f64(config.end_time);
-    e.f64(config.hop_delay);
-    e.f64(config.delta);
-    e.i64(config.mtu.micros());
-    e.f64(config.poll_interval);
-    e.f64(config.deadline);
+    (config.end_time, config.hop_delay, config.delta, config.mtu).enc(&mut e);
+    (config.poll_interval, config.deadline).enc(&mut e);
     e.str(config.source_policy.name());
-    e.u8(match config.queue_policy {
-        QueuePolicy::Fifo => 0,
-        QueuePolicy::SmallestFirst => 1,
-        QueuePolicy::EarliestDeadline => 2,
-    });
-    e.usize(config.num_paths);
-    e.usize(config.max_queue_len);
-    match &config.faults {
-        Some(plan) => {
-            e.u8(1);
-            snapshot::enc_json(&mut e, &plan.config);
-            e.seq(&plan.events, |e, (t, ev)| {
-                e.f64(*t);
-                enc_fault_event(e, ev);
-            });
-        }
-        None => e.u8(0),
-    }
-    e.bool(config.telemetry.is_enabled());
-    e.f64(config.telemetry.sample_interval().unwrap_or(f64::NAN));
+    config.queue_policy.fingerprint(&mut e);
+    (config.num_paths, config.max_queue_len).enc(&mut e);
+    config.faults.fingerprint(&mut e);
+    config.telemetry.fingerprint(&mut e);
     crc32(&e.into_bytes())
 }
 
-fn enc_event(e: &mut Enc, event: &Event) {
-    match event {
-        Event::Arrival(i) => {
-            e.u8(0);
-            e.usize(*i);
+impl Codec for Event {
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            Event::Arrival(i) => (0u8, *i).enc(e),
+            Event::Tick => e.u8(1),
+            Event::HopArrive { unit } => (2u8, *unit).enc(e),
+            Event::SettleUnit { unit } => (3u8, *unit).enc(e),
+            Event::Fault(ev) => {
+                e.u8(4);
+                ev.enc(e);
+            }
         }
-        Event::Tick => e.u8(1),
-        Event::HopArrive { unit } => {
-            e.u8(2);
-            e.usize(*unit);
-        }
-        Event::SettleUnit { unit } => {
-            e.u8(3);
-            e.usize(*unit);
-        }
-        Event::Fault(ev) => {
-            e.u8(4);
-            enc_fault_event(e, ev);
-        }
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        Ok(match d.u8()? {
+            0 => Event::Arrival(d.usize()?),
+            1 => Event::Tick,
+            2 => Event::HopArrive { unit: d.usize()? },
+            3 => Event::SettleUnit { unit: d.usize()? },
+            4 => Event::Fault(FaultEvent::dec(d, net)?),
+            other => return Err(snapshot::invalid(d, format!("queued event tag {other}"))),
+        })
     }
 }
 
-fn dec_event(d: &mut Dec) -> Result<Event, SnapshotError> {
-    match d.u8()? {
-        0 => Ok(Event::Arrival(d.usize()?)),
-        1 => Ok(Event::Tick),
-        2 => Ok(Event::HopArrive { unit: d.usize()? }),
-        3 => Ok(Event::SettleUnit { unit: d.usize()? }),
-        4 => Ok(Event::Fault(dec_fault_event(d)?)),
-        other => Err(SnapshotError::Corrupt {
-            what: format!("queued event tag {other}"),
-        }),
+impl Codec for UnitState {
+    fn enc(&self, e: &mut Enc) {
+        (self.payment, self.amount).enc(e);
+        self.path.enc(e);
+        (self.locked, self.queued_at, self.dropped).enc(e);
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        Ok(UnitState {
+            payment: d.usize()?,
+            amount: Amount::dec(d, net)?,
+            path: Codec::dec(d, net)?,
+            locked: d.usize()?,
+            queued_at: d.f64()?,
+            dropped: d.bool()?,
+        })
     }
 }
 
-/// Router-queue engine state restored from a snapshot's `SEC_CORE` section.
-struct QueuedResume {
-    ticks: u64,
-    channels: Vec<[i64; 4]>,
-    queue_entries: Vec<(f64, u64, Event)>,
-    queue_next_seq: u64,
-    payments: Vec<PaymentState>,
-    pending: Vec<usize>,
+/// The router-queue engine's whole mutable run state: the event loop mutates
+/// it and a checkpoint encodes it, field for field, as `SEC_CORE`.
+struct QueuedState {
+    /// Ticks, ledger, event queue, payments, pending, and telemetry
+    /// samples — the part the sequential engine shares.
+    core: EventCore<Event>,
     units: Vec<UnitState>,
-    path_cache: Vec<u8>,
-    router_queues: Vec<[Vec<usize>; 2]>,
+    paths: PathCache,
+    /// One queue per (channel, direction).
+    router_queues: Vec<[VecDeque<usize>; 2]>,
     stats: QueueStats,
     total_wait: f64,
     dequeues: usize,
     units_sent: u64,
-    faults: Option<crate::faults::FaultStateSnapshot>,
+    faults: Option<FaultState>,
     release_violations: Vec<AuditViolation>,
-    network_series: Vec<spider_telemetry::NetworkSample>,
-    next_sample: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn encode_queued_core(
-    ticks: u64,
-    network: &Network,
-    ledger: &Ledger,
-    queue: &EventQueue<Event>,
-    payments: &[PaymentState],
-    pending: &[usize],
-    units: &[UnitState],
-    paths: &PathCache,
-    router_queues: &[[VecDeque<usize>; 2]],
-    stats: &QueueStats,
-    total_wait: f64,
-    dequeues: usize,
-    units_sent: u64,
-    faults: &Option<FaultState>,
-    release_violations: &[AuditViolation],
-    network_series: &[NetworkSample],
-    next_sample: f64,
-) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(ticks);
-    e.usize(network.num_channels());
-    for i in 0..network.num_channels() {
-        for v in ledger.export_channel(ChannelId::from(i)) {
-            e.i64(v);
-        }
-    }
-    let entries = queue.entries();
-    e.usize(entries.len());
-    for (t, seq, event) in &entries {
-        e.f64(*t);
-        e.u64(*seq);
-        enc_event(&mut e, event);
-    }
-    e.u64(queue.next_seq());
-    e.seq(payments, enc_payment);
-    e.seq(pending, |e, &i| e.usize(i));
-    e.seq(units, |e, u| {
-        e.usize(u.payment);
-        e.i64(u.amount.micros());
-        enc_path(e, &u.path);
-        e.usize(u.locked);
-        e.f64(u.queued_at);
-        e.bool(u.dropped);
-    });
-    e.bytes(&paths.checkpoint());
-    e.usize(router_queues.len());
-    for [a, b] in router_queues {
-        e.seq(&a.iter().copied().collect::<Vec<_>>(), |e, &u| e.usize(u));
-        e.seq(&b.iter().copied().collect::<Vec<_>>(), |e, &u| e.usize(u));
-    }
-    e.usize(stats.units_queued);
-    e.usize(stats.units_dropped);
-    e.usize(stats.max_queue_len);
-    e.f64(total_wait);
-    e.usize(dequeues);
-    e.u64(units_sent);
-    match faults {
-        Some(fs) => {
-            e.u8(1);
-            let snap = fs.export_state();
-            e.bytes(&snap.down_causes);
-            e.seq(&snap.node_down, |e, &b| e.bool(b));
-            e.u64(snap.rng_state);
-            snapshot::enc_json(&mut e, &snap.stats);
-        }
-        None => e.u8(0),
-    }
-    snapshot::enc_json(&mut e, &release_violations.to_vec());
-    e.seq(network_series, |e, s| {
-        e.f64(s.t);
-        e.f64(s.mean_imbalance);
-        e.f64(s.total_inflight);
-        e.u32(s.pending);
-        e.u32(s.max_queue_depth);
-    });
-    e.f64(next_sample);
-    e.into_bytes()
-}
-
-fn decode_queued_core(bytes: &[u8], network: &Network) -> Result<QueuedResume, SnapshotError> {
-    let mut d = Dec::new(bytes);
-    let ticks = d.u64()?;
-    let num_channels = d.usize()?;
-    if num_channels != network.num_channels() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "snapshot covers {num_channels} channels, network has {}",
-                network.num_channels()
-            ),
-        });
-    }
-    let mut channels = Vec::with_capacity(num_channels);
-    for _ in 0..num_channels {
-        channels.push([d.i64()?, d.i64()?, d.i64()?, d.i64()?]);
-    }
-    let n_entries = d.usize()?;
-    let mut queue_entries = Vec::with_capacity(n_entries);
-    for _ in 0..n_entries {
-        let t = d.f64()?;
-        if !t.is_finite() {
-            return Err(SnapshotError::Corrupt {
-                what: format!("non-finite event time {t}"),
-            });
-        }
-        let seq = d.u64()?;
-        let event = dec_event(&mut d)?;
-        queue_entries.push((t, seq, event));
-    }
-    let queue_next_seq = d.u64()?;
-    let n_payments = d.usize()?;
-    let mut payments = Vec::with_capacity(n_payments);
-    for _ in 0..n_payments {
-        payments.push(dec_payment(&mut d)?);
-    }
-    let pending = d.seq(|d| d.usize())?;
-    let n_units = d.usize()?;
-    let mut units = Vec::with_capacity(n_units);
-    for _ in 0..n_units {
-        let payment = d.usize()?;
-        if payment >= payments.len() {
-            return Err(SnapshotError::Corrupt {
-                what: format!("unit references payment {payment} of {}", payments.len()),
-            });
-        }
-        let amount = Amount::from_micros(d.i64()?);
-        let path = dec_path(&mut d, network)?;
-        let locked = d.usize()?;
-        if locked > path.len() {
-            return Err(SnapshotError::Corrupt {
-                what: format!("unit locked {locked} hops of a {}-hop path", path.len()),
-            });
-        }
-        let queued_at = d.f64()?;
-        let dropped = d.bool()?;
-        units.push(UnitState {
-            payment,
-            amount,
-            path,
-            locked,
-            queued_at,
-            dropped,
-        });
-    }
-    let path_cache = d.bytes()?.to_vec();
-    let n_queues = d.usize()?;
-    let mut router_queues = Vec::with_capacity(n_queues);
-    for _ in 0..n_queues {
-        let a = d.seq(|d| d.usize())?;
-        let b = d.seq(|d| d.usize())?;
-        for &u in a.iter().chain(b.iter()) {
-            if u >= units.len() {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("router queue references unit {u} of {}", units.len()),
-                });
+impl QueuedState {
+    /// A fresh run: every arrival, the first tick, and the fault plan's
+    /// transitions are queued.
+    fn new(network: &Network, transactions: &[Transaction], config: &QueuedConfig) -> Self {
+        let mut core = EventCore::new(network, &config.telemetry);
+        for (i, tx) in transactions.iter().enumerate() {
+            if tx.arrival <= config.end_time {
+                core.queue.push(tx.arrival, Event::Arrival(i));
             }
         }
-        router_queues.push([a, b]);
+        core.queue.push(config.poll_interval, Event::Tick);
+        if let Some(plan) = &config.faults {
+            for (t, ev) in &plan.events {
+                if *t <= config.end_time {
+                    core.queue.push(*t, Event::Fault(ev.clone()));
+                }
+            }
+        }
+        QueuedState {
+            core,
+            units: Vec::new(),
+            paths: PathCache::new(PathStrategy::EdgeDisjoint(config.num_paths)),
+            router_queues: (0..network.num_channels())
+                .map(|_| [VecDeque::new(), VecDeque::new()])
+                .collect(),
+            stats: QueueStats::default(),
+            total_wait: 0.0,
+            dequeues: 0,
+            units_sent: 0,
+            faults: config
+                .faults
+                .as_ref()
+                .map(|plan| FaultState::new(plan, network)),
+            release_violations: Vec::new(),
+        }
     }
-    let stats = QueueStats {
-        units_queued: d.usize()?,
-        units_dropped: d.usize()?,
-        max_queue_len: d.usize()?,
-        mean_wait: 0.0,
-    };
-    let total_wait = d.f64()?;
-    let dequeues = d.usize()?;
-    let units_sent = d.u64()?;
-    let faults = match d.u8()? {
-        0 => None,
-        1 => {
-            let down_causes = d.bytes()?.to_vec();
-            let node_down = d.seq(|d| d.bool())?;
-            let rng_state = d.u64()?;
-            let stats = snapshot::dec_json(&mut d)?;
-            Some(crate::faults::FaultStateSnapshot {
-                down_causes,
-                node_down,
-                rng_state,
-                stats,
-            })
+
+    /// The `SEC_CORE` section.
+    fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        self.core.enc_prefix(&mut e);
+        self.units.enc(&mut e);
+        e.bytes(&self.paths.checkpoint());
+        self.router_queues.enc(&mut e);
+        let s = &self.stats;
+        (s.units_queued, s.units_dropped, s.max_queue_len).enc(&mut e);
+        (self.total_wait, self.dequeues, self.units_sent).enc(&mut e);
+        self.faults
+            .as_ref()
+            .map(FaultState::export_state)
+            .enc(&mut e);
+        snapshot::enc_json(&mut e, &self.release_violations);
+        self.core.enc_suffix(&mut e);
+        e.into_bytes()
+    }
+
+    /// Decodes a `SEC_CORE` section written by [`encode`](Self::encode),
+    /// cross-checking feature presence against `config` and range-checking
+    /// every index it carries.
+    fn decode(
+        bytes: &[u8],
+        network: &Network,
+        transactions: &[Transaction],
+        config: &QueuedConfig,
+    ) -> Result<Self, SnapshotError> {
+        let d = &mut Dec::new(bytes);
+        let core = EventCore::dec_prefix(d, network)?;
+        let units = Codec::dec(d, network)?;
+        let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(config.num_paths));
+        paths
+            .restore(network, d.bytes()?)
+            .map_err(|e| corrupt(format!("path cache: {e}")))?;
+        let router_queues: Vec<[VecDeque<usize>; 2]> = Codec::dec(d, network)?;
+        if router_queues.len() != network.num_channels() {
+            return Err(corrupt(format!(
+                "snapshot has {} router queues, network has {} channels",
+                router_queues.len(),
+                network.num_channels()
+            )));
         }
-        other => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("fault presence byte {other}"),
-            })
+        let (units_queued, units_dropped, max_queue_len) = Codec::dec(d, network)?;
+        let (total_wait, dequeues, units_sent) = Codec::dec(d, network)?;
+        let captured: Option<FaultStateSnapshot> = Codec::dec(d, network)?;
+        snapshot::check_presence("fault", captured.is_some(), config.faults.is_some())?;
+        let faults = match (captured, &config.faults) {
+            (Some(snap), Some(plan)) => {
+                let mut fs = FaultState::new(plan, network);
+                fs.restore_state(snap).map_err(corrupt)?;
+                Some(fs)
+            }
+            _ => None,
+        };
+        let release_violations = snapshot::dec_json(d)?;
+        let mut st = QueuedState {
+            core,
+            units,
+            paths,
+            router_queues,
+            stats: QueueStats {
+                units_queued,
+                units_dropped,
+                max_queue_len,
+                mean_wait: 0.0,
+            },
+            total_wait,
+            dequeues,
+            units_sent,
+            faults,
+            release_violations,
+        };
+        st.core.dec_suffix(d, network)?;
+        d.expect_end()?;
+        st.check_indices(transactions.len())?;
+        Ok(st)
+    }
+
+    /// Range-checks the payment, unit, hop, and transaction indices the
+    /// decoded state carries, so a tampered snapshot fails here instead of
+    /// panicking inside the event loop.
+    fn check_indices(&self, num_transactions: usize) -> Result<(), SnapshotError> {
+        let units = self.units.len();
+        for u in &self.units {
+            snapshot::check_index("unit payment", u.payment, self.core.payments.len())?;
+            if u.locked > u.path.len() {
+                return Err(corrupt(format!(
+                    "unit locked {} hops of a {}-hop path",
+                    u.locked,
+                    u.path.len()
+                )));
+            }
         }
-    };
-    let release_violations = snapshot::dec_json(&mut d)?;
-    let network_series = d.seq(|d| {
-        Ok(NetworkSample {
-            t: d.f64()?,
-            mean_imbalance: d.f64()?,
-            total_inflight: d.f64()?,
-            pending: d.u32()?,
-            max_queue_depth: d.u32()?,
+        for &u in self.router_queues.iter().flatten().flatten() {
+            snapshot::check_index("queued unit", u, units)?;
+        }
+        self.core.check_events(|ev| match ev {
+            Event::Arrival(i) => snapshot::check_index("arrival", *i, num_transactions),
+            Event::HopArrive { unit } | Event::SettleUnit { unit } => {
+                snapshot::check_index("event unit", *unit, units)
+            }
+            _ => Ok(()),
         })
-    })?;
-    let next_sample = d.f64()?;
-    d.expect_end()?;
-    Ok(QueuedResume {
-        ticks,
-        channels,
-        queue_entries,
-        queue_next_seq,
-        payments,
-        pending,
-        units,
-        path_cache,
-        router_queues,
-        stats,
-        total_wait,
-        dequeues,
-        units_sent,
-        faults,
-        release_violations,
-        network_series,
-        next_sample,
-    })
+    }
 }
 
 /// Sends as many units of one pending payment as first-hop funding allows.

@@ -51,21 +51,21 @@
 //!   owns, publishing the new balances through the ordinary dirty-balance
 //!   exchange; scheduled corrections are part of the shard checkpoint.
 
-use crate::audit::{AuditState, AuditViolation, AuditViolationKind, LedgerAudit};
+use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::congestion::CongestionConfig;
 use crate::engine::record_release;
-use crate::engine::{dec_path, enc_fault_event, enc_path};
-use crate::engine_queued::QueuePolicy;
-use crate::faults::{FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64};
+use crate::faults::{
+    FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStateSnapshot, FaultStats, SplitMix64,
+};
 use crate::ledger::Ledger;
 use crate::metrics::SimReport;
 use crate::payment::PaymentStatus;
 use crate::rebalancer::{RebalancePolicy, RebalanceStats};
-use crate::scheduler::SchedulePolicy;
-use crate::snapshot::{self, CheckpointSpec, SnapshotError};
+use crate::scheduler::{QueuePolicy, SchedulePolicy};
+use crate::snapshot::{self, corrupt, CheckpointSpec, Codec, Fingerprint, Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize};
 use spider_core::{
-    crc32, Amount, BalanceView, ChannelId, Dec, Direction, Enc, Network, NodeId, Path,
+    crc32, Amount, BalanceView, BinError, ChannelId, Dec, Direction, Enc, Network, NodeId, Path,
 };
 use spider_routing::{
     FeeSchedule, RoutingScheme, ShortestPathScheme, UnitDecision, WaterfillingScheme,
@@ -682,7 +682,9 @@ struct Clockwork {
     sample_epochs: u64,
 }
 
-/// The per-shard worker state for one run.
+/// The per-shard worker state for one run. A checkpoint encodes its owned
+/// fields directly (`encode_core`, `encode_ext`) and a resume decodes them
+/// back into a fresh context (`restore`).
 struct ShardCtx<'a> {
     shard: u16,
     network: &'a Network,
@@ -741,7 +743,124 @@ struct ShardCtx<'a> {
     rebal_fees_micros: i64,
 }
 
-impl ShardCtx<'_> {
+/// The payments shard `shard` is dealt — ids are assigned round-robin — as a
+/// fresh slab sorted by id (so `payment_index` can binary-search). Arrivals
+/// after the end epoch are dropped.
+fn dealt_payments(
+    transactions: &[Transaction],
+    shard: u16,
+    num_shards: usize,
+    clock: Clockwork,
+    cfg: &ShardedConfig,
+) -> Vec<LocalPayment> {
+    let window = cfg.congestion.as_ref().map_or(0.0, |cc| cc.initial_window);
+    let mut payments: Vec<LocalPayment> = transactions
+        .iter()
+        .filter(|tx| tx.id.0 % num_shards as u64 == u64::from(shard))
+        .filter_map(|tx| {
+            let arrival_epoch = ((tx.arrival / EPOCH).ceil() as i64).max(1) as u64;
+            (arrival_epoch <= clock.end_epoch).then(|| LocalPayment {
+                id: tx.id.0,
+                src: tx.src,
+                dst: tx.dst,
+                amount: tx.amount,
+                arrival_epoch,
+                deadline_epoch: arrival_epoch + clock.deadline_epochs,
+                delivered: Amount::ZERO,
+                inflight: Amount::ZERO,
+                status: PaymentStatus::Pending,
+                delay: None,
+                next_seq: 0,
+                blacklist: Vec::new(),
+                fail_count: 0,
+                not_before_epoch: 0,
+                window,
+                outstanding: 0,
+            })
+        })
+        .collect();
+    payments.sort_by_key(|p| p.id);
+    payments
+}
+
+/// `(arrival epoch, slab index)` for every payment, in arrival order.
+fn arrival_index(payments: &[LocalPayment]) -> Vec<(u64, usize)> {
+    let mut arrivals: Vec<(u64, usize)> = payments
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.arrival_epoch, i))
+        .collect();
+    arrivals.sort_unstable();
+    arrivals
+}
+
+impl<'a> ShardCtx<'a> {
+    /// A shard at epoch 0 owning `payments` (sorted by id): the network's
+    /// initial balances, fresh fault and audit state, and empty queues.
+    fn new(
+        shard: u16,
+        network: &'a Network,
+        partition: &'a Partition,
+        cfg: &'a ShardedConfig,
+        clock: Clockwork,
+        plan_events: &[(u64, u64, FaultEvent)],
+        payments: Vec<LocalPayment>,
+    ) -> Self {
+        let arrivals = arrival_index(&payments);
+        let ledger = Ledger::new(network);
+        let snapshot = network
+            .channels()
+            .iter()
+            .map(|ch| {
+                let (a, b) = ledger.balances(ch.id);
+                [a.micros(), b.micros()]
+            })
+            .collect();
+        ShardCtx {
+            shard,
+            network,
+            partition,
+            cfg,
+            clock,
+            scheme: cfg.scheme.build(),
+            audit: cfg.audit.then(|| LedgerAudit::new(&ledger)),
+            ledger,
+            faults: cfg
+                .faults
+                .as_ref()
+                .map(|plan| FaultState::new(plan, network)),
+            plan_events: plan_events.to_vec(),
+            plan_cursor: 0,
+            snapshot,
+            dirty: Vec::new(),
+            pending_msgs: BTreeMap::new(),
+            staged: (0..partition.num_shards()).map(|_| Vec::new()).collect(),
+            payments,
+            pending: Vec::new(),
+            arrivals,
+            arrival_cursor: 0,
+            trace: Vec::new(),
+            tel_on: cfg.telemetry.is_enabled(),
+            units_sent: 0,
+            series: Vec::new(),
+            samples: Vec::new(),
+            violations: Vec::new(),
+            stats: ShardStats::default(),
+            counters: ShardCounters::default(),
+            arrived_count: 0,
+            completed_count: 0,
+            attempted_micros: 0,
+            delivered_micros: 0,
+            queues: BTreeMap::new(),
+            routing_fees_micros: 0,
+            rebalance_pending: vec![false; network.num_channels()],
+            rebalance_applies: Vec::new(),
+            rebal_transactions: 0,
+            rebal_moved_micros: 0,
+            rebal_fees_micros: 0,
+        }
+    }
+
     fn emit(&mut self, key: Key, ev: TraceEvent) {
         if self.tel_on {
             self.trace.push((key, ev));
@@ -1782,20 +1901,7 @@ pub fn resume_sharded(
     let snap = snapshot::read_snapshot(snapshot_path)?;
     let fp = fingerprint_sharded(network, transactions, partition, config);
     snap.check(snapshot::ENGINE_SHARDED, fp)?;
-    let mut state = decode_sharded_core(
-        snap.section(snapshot::SEC_CORE)?,
-        network,
-        partition,
-        config,
-        snap.progress,
-    )?;
-    apply_sharded_ext(
-        &mut state,
-        snap.section(snapshot::SEC_SHARD_EXT)?,
-        network,
-        config,
-    )?;
-    run_sharded_inner(network, transactions, partition, config, Some(state), ckpt)
+    run_sharded_inner(network, transactions, partition, config, Some(&snap), ckpt)
 }
 
 fn run_sharded_inner(
@@ -1803,7 +1909,7 @@ fn run_sharded_inner(
     transactions: &[Transaction],
     partition: &Partition,
     config: &ShardedConfig,
-    resume: Option<ShardedResume>,
+    resume: Option<&Snapshot>,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SimReport, SnapshotError> {
     assert!(config.end_time > 0.0, "end_time must be positive");
@@ -1862,22 +1968,23 @@ fn run_sharded_inner(
         })
         .unwrap_or_default();
 
-    let initial_ledger = Ledger::new(network);
-    let initial_snapshot: Vec<[i64; 2]> = network
-        .channels()
-        .iter()
-        .map(|ch| {
-            let (a, b) = initial_ledger.balances(ch.id);
-            [a.micros(), b.micros()]
-        })
-        .collect();
-
     let fp = if ckpt.is_some() {
         fingerprint_sharded(network, transactions, partition, config)
     } else {
         0
     };
-    let start_epoch = resume.as_ref().map_or(0, |r| r.epoch);
+    // A resumed run rebuilds every shard's context from the snapshot up
+    // front; a fresh one builds each context on its own worker thread.
+    let (start_epoch, restored): (u64, Vec<Option<ShardCtx>>) = match resume {
+        Some(snap) => (
+            snap.progress,
+            restore_shards(snap, network, partition, config, clock, &plan_events)?
+                .into_iter()
+                .map(Some)
+                .collect(),
+        ),
+        None => (0, (0..num_shards).map(|_| None).collect()),
+    };
     if start_epoch > clock.end_epoch {
         return Err(SnapshotError::Corrupt {
             what: format!(
@@ -1886,10 +1993,6 @@ fn run_sharded_inner(
             ),
         });
     }
-    let resume_slots: Vec<Mutex<Option<ShardResume>>> = match resume {
-        Some(r) => r.shards.into_iter().map(|s| Mutex::new(Some(s))).collect(),
-        None => (0..num_shards).map(|_| Mutex::new(None)).collect(),
-    };
 
     let inboxes: Vec<Mutex<Vec<Msg>>> = (0..num_shards).map(|_| Mutex::new(Vec::new())).collect();
     let published: Vec<PublishSlot> = (0..num_shards).map(|_| Mutex::new(Vec::new())).collect();
@@ -1901,33 +2004,34 @@ fn run_sharded_inner(
 
     let outputs: Vec<Result<ShardOutput, ()>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(num_shards);
-        for shard in 0..num_shards {
+        for (shard, restored) in restored.into_iter().enumerate() {
+            let plan_events = &plan_events;
             let inboxes = &inboxes;
             let published = &published;
             let barrier = &barrier;
-            let initial_ledger = &initial_ledger;
-            let initial_snapshot = &initial_snapshot;
-            let plan_events = &plan_events;
-            let resume_slots = &resume_slots;
             let ckpt_blobs = &ckpt_blobs;
             let ckpt_ext_blobs = &ckpt_ext_blobs;
             let ckpt_err = &ckpt_err;
             handles.push(scope.spawn(move || {
+                let ctx = restored.unwrap_or_else(|| {
+                    let shard = shard as u16;
+                    let payments = dealt_payments(transactions, shard, num_shards, clock, config);
+                    ShardCtx::new(
+                        shard,
+                        network,
+                        partition,
+                        config,
+                        clock,
+                        plan_events,
+                        payments,
+                    )
+                });
                 run_shard(
-                    shard as u16,
-                    network,
-                    transactions,
-                    partition,
-                    config,
-                    clock,
-                    initial_ledger,
-                    initial_snapshot,
-                    plan_events,
+                    ctx,
                     inboxes,
                     published,
                     barrier,
                     start_epoch,
-                    &resume_slots[shard],
                     fp,
                     ckpt,
                     ckpt_blobs,
@@ -1970,169 +2074,22 @@ type PublishSlot = Mutex<Vec<(u32, i64, i64)>>;
 /// [`SnapshotError`] is published through `ckpt_err` by shard 0 and the
 /// marker makes every shard leave the barrier protocol together.
 #[allow(clippy::too_many_arguments)]
-#[allow(clippy::too_many_lines)]
 fn run_shard(
-    shard: u16,
-    network: &Network,
-    transactions: &[Transaction],
-    partition: &Partition,
-    config: &ShardedConfig,
-    clock: Clockwork,
-    initial_ledger: &Ledger,
-    initial_snapshot: &[[i64; 2]],
-    plan_events: &[(u64, u64, FaultEvent)],
+    mut ctx: ShardCtx<'_>,
     inboxes: &[Mutex<Vec<Msg>>],
     published: &[PublishSlot],
     barrier: &Barrier,
     start_epoch: u64,
-    resume: &Mutex<Option<ShardResume>>,
     fp: u32,
     ckpt: Option<&CheckpointSpec>,
     ckpt_blobs: &[Mutex<Vec<u8>>],
     ckpt_ext_blobs: &[Mutex<Vec<u8>>],
     ckpt_err: &Mutex<Option<SnapshotError>>,
 ) -> Result<ShardOutput, ()> {
-    let num_shards = partition.num_shards() as u64;
-    let mut ctx = if let Some(r) = lock_ok(resume).take() {
-        // Arrivals are a pure function of the restored payment slab, built
-        // exactly as the fresh-start path builds them.
-        let mut arrivals: Vec<(u64, usize)> = r
-            .payments
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.arrival_epoch, i))
-            .collect();
-        arrivals.sort_unstable();
-        ShardCtx {
-            shard,
-            network,
-            partition,
-            cfg: config,
-            clock,
-            scheme: r.scheme,
-            ledger: r.ledger,
-            audit: r.audit,
-            faults: r.faults,
-            plan_events: plan_events.to_vec(),
-            plan_cursor: r.plan_cursor,
-            snapshot: r.snapshot,
-            dirty: Vec::new(),
-            pending_msgs: r.pending_msgs,
-            staged: (0..num_shards).map(|_| Vec::new()).collect(),
-            payments: r.payments,
-            pending: r.pending,
-            arrivals,
-            arrival_cursor: r.arrival_cursor,
-            trace: r.trace,
-            tel_on: config.telemetry.is_enabled(),
-            units_sent: r.units_sent,
-            series: r.series,
-            samples: r.samples,
-            violations: r.violations,
-            stats: r.stats,
-            counters: r.counters,
-            arrived_count: r.arrived_count,
-            completed_count: r.completed_count,
-            attempted_micros: r.attempted_micros,
-            delivered_micros: r.delivered_micros,
-            queues: r.queues,
-            routing_fees_micros: r.routing_fees_micros,
-            rebalance_pending: r.rebalance_pending,
-            rebalance_applies: r.rebalance_applies,
-            rebal_transactions: r.rebal_transactions,
-            rebal_moved_micros: r.rebal_moved_micros,
-            rebal_fees_micros: r.rebal_fees_micros,
-        }
-    } else {
-        // This shard's payments: ids assigned round-robin; slab sorted by
-        // id so `payment_index` can binary-search.
-        let mut payments: Vec<LocalPayment> = transactions
-            .iter()
-            .filter(|tx| tx.id.0 % num_shards == u64::from(shard))
-            .filter_map(|tx| {
-                let arrival_epoch = ((tx.arrival / EPOCH).ceil() as i64).max(1) as u64;
-                (arrival_epoch <= clock.end_epoch).then(|| LocalPayment {
-                    id: tx.id.0,
-                    src: tx.src,
-                    dst: tx.dst,
-                    amount: tx.amount,
-                    arrival_epoch,
-                    deadline_epoch: arrival_epoch + clock.deadline_epochs,
-                    delivered: Amount::ZERO,
-                    inflight: Amount::ZERO,
-                    status: PaymentStatus::Pending,
-                    delay: None,
-                    next_seq: 0,
-                    blacklist: Vec::new(),
-                    fail_count: 0,
-                    not_before_epoch: 0,
-                    window: config
-                        .congestion
-                        .as_ref()
-                        .map_or(0.0, |cc| cc.initial_window),
-                    outstanding: 0,
-                })
-            })
-            .collect();
-        payments.sort_by_key(|p| p.id);
-        let mut arrivals: Vec<(u64, usize)> = payments
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.arrival_epoch, i))
-            .collect();
-        arrivals.sort_unstable();
-
-        let ledger = initial_ledger.clone();
-        let audit = config.audit.then(|| LedgerAudit::new(&ledger));
-        let faults = config
-            .faults
-            .as_ref()
-            .map(|plan| FaultState::new(plan, network));
-
-        ShardCtx {
-            shard,
-            network,
-            partition,
-            cfg: config,
-            clock,
-            scheme: config.scheme.build(),
-            ledger,
-            audit,
-            faults,
-            plan_events: plan_events.to_vec(),
-            plan_cursor: 0,
-            snapshot: initial_snapshot.to_vec(),
-            dirty: Vec::new(),
-            pending_msgs: BTreeMap::new(),
-            staged: (0..num_shards).map(|_| Vec::new()).collect(),
-            payments,
-            pending: Vec::new(),
-            arrivals,
-            arrival_cursor: 0,
-            trace: Vec::new(),
-            tel_on: config.telemetry.is_enabled(),
-            units_sent: 0,
-            series: Vec::new(),
-            samples: Vec::new(),
-            violations: Vec::new(),
-            stats: ShardStats::default(),
-            counters: ShardCounters::default(),
-            arrived_count: 0,
-            completed_count: 0,
-            attempted_micros: 0,
-            delivered_micros: 0,
-            queues: BTreeMap::new(),
-            routing_fees_micros: 0,
-            rebalance_pending: vec![false; network.num_channels()],
-            rebalance_applies: Vec::new(),
-            rebal_transactions: 0,
-            rebal_moved_micros: 0,
-            rebal_fees_micros: 0,
-        }
-    };
-
-    let me = shard as usize;
-    let lane = u32::from(shard);
+    let (config, clock) = (ctx.cfg, ctx.clock);
+    let num_shards = ctx.partition.num_shards() as u64;
+    let me = usize::from(ctx.shard);
+    let lane = u32::from(ctx.shard);
     let tel = &config.telemetry;
     for epoch in (start_epoch + 1)..=clock.end_epoch {
         // Intake: messages and balance updates published last epoch.
@@ -2228,8 +2185,8 @@ fn run_shard(
                     }
                 }
                 debug_assert!(ctx.dirty.is_empty() && ctx.staged.iter().all(Vec::is_empty));
-                *lock_ok(&ckpt_blobs[me]) = encode_shard_blob(&ctx);
-                *lock_ok(&ckpt_ext_blobs[me]) = encode_shard_ext(&ctx);
+                *lock_ok(&ckpt_blobs[me]) = ctx.encode_core();
+                *lock_ok(&ckpt_ext_blobs[me]) = ctx.encode_ext();
                 barrier.wait();
                 if me == 0 {
                     let mut e = Enc::new();
@@ -2300,563 +2257,66 @@ fn fingerprint_sharded(
     let mut e = Enc::new();
     snapshot::enc_inputs(&mut e, network, transactions);
     e.str(config.scheme.name());
-    e.f64(config.end_time);
-    e.f64(config.delta);
-    e.i64(config.mtu.micros());
-    e.f64(config.poll_interval);
-    e.f64(config.deadline);
-    e.bool(config.record_series);
-    e.bool(config.audit);
-    match &config.faults {
-        Some(plan) => {
-            e.u8(1);
-            snapshot::enc_json(&mut e, &plan.config);
-            e.seq(&plan.events, |e, (t, ev)| {
-                e.f64(*t);
-                enc_fault_event(e, ev);
-            });
-        }
-        None => e.u8(0),
-    }
-    e.bool(config.telemetry.is_enabled());
-    e.f64(config.telemetry.sample_interval().unwrap_or(f64::NAN));
+    (config.end_time, config.delta, config.mtu).enc(&mut e);
+    (config.poll_interval, config.deadline).enc(&mut e);
+    (config.record_series, config.audit).enc(&mut e);
+    config.faults.fingerprint(&mut e);
+    config.telemetry.fingerprint(&mut e);
     e.str(config.policy.name());
     e.str(config.source_policy.name());
-    e.u8(match config.queue_policy {
-        QueuePolicy::Fifo => 0,
-        QueuePolicy::SmallestFirst => 1,
-        QueuePolicy::EarliestDeadline => 2,
-    });
+    config.queue_policy.fingerprint(&mut e);
     e.usize(config.max_queue_len);
-    match &config.fees {
-        Some(f) => {
-            e.u8(1);
-            e.seq(&f.per_channel(), |e, &(base, ppm)| {
-                e.i64(base.micros());
-                e.u32(ppm);
-            });
-        }
-        None => e.u8(0),
-    }
-    match &config.congestion {
-        Some(cc) => {
-            e.u8(1);
-            e.f64(cc.initial_window);
-            e.f64(cc.additive_increase);
-            e.f64(cc.multiplicative_decrease);
-            e.f64(cc.min_window);
-            e.f64(cc.max_window);
-        }
-        None => e.u8(0),
-    }
-    match &config.rebalance {
-        Some(rb) => {
-            e.u8(1);
-            e.f64(rb.check_interval);
-            e.f64(rb.imbalance_threshold);
-            e.f64(rb.correction_fraction);
-            e.i64(rb.fee.micros());
-            e.f64(rb.confirmation_delay);
-        }
-        None => e.u8(0),
-    }
+    config.fees.fingerprint(&mut e);
+    config.congestion.fingerprint(&mut e);
+    config.rebalance.fingerprint(&mut e);
     e.usize(partition.num_shards());
     e.seq(partition.node_shards(), |e, &s| e.u32(u32::from(s)));
     e.seq(partition.channel_owners(), |e, &s| e.u32(u32::from(s)));
     crc32(&e.into_bytes())
 }
 
-/// Decoded checkpoint of a whole sharded run: the barrier epoch it was
-/// taken at plus one restored worker state per shard.
-struct ShardedResume {
-    epoch: u64,
-    shards: Vec<ShardResume>,
-}
+// ---------------------------------------------------------------------------
+// Checkpoint/resume: each shard's quiescent barrier state is one `SEC_CORE`
+// blob and one `SEC_SHARD_EXT` blob. Shared types encode through
+// `snapshot::Codec`; the field order below is the SPSN v2 layout tabled in
+// DESIGN.md.
 
-/// One shard's restored state, rebuilt host-side before the worker threads
-/// start (scheme restored, fault mask re-applied, messages re-linked).
-struct ShardResume {
-    scheme: Box<dyn RoutingScheme>,
-    ledger: Ledger,
-    audit: Option<LedgerAudit>,
-    faults: Option<FaultState>,
-    plan_cursor: usize,
-    snapshot: Vec<[i64; 2]>,
-    pending_msgs: BTreeMap<u64, Vec<Msg>>,
-    payments: Vec<LocalPayment>,
-    pending: Vec<usize>,
-    arrival_cursor: usize,
-    trace: Vec<(Key, TraceEvent)>,
-    units_sent: u64,
-    series: Vec<SeriesPartial>,
-    samples: Vec<SamplePartial>,
-    violations: Vec<AuditViolation>,
-    stats: ShardStats,
-    counters: ShardCounters,
-    arrived_count: u64,
-    completed_count: u64,
-    attempted_micros: i64,
-    delivered_micros: i64,
-    queues: BTreeMap<(u32, u8), Vec<QueuedUnit>>,
-    routing_fees_micros: i64,
-    rebalance_pending: Vec<bool>,
-    rebalance_applies: Vec<(u64, u32)>,
-    rebal_transactions: u64,
-    rebal_moved_micros: i64,
-    rebal_fees_micros: i64,
-}
-
-fn enc_msg(e: &mut Enc, msg: &Msg) {
-    e.u64(msg.unit.payment);
-    e.u32(msg.unit.seq);
-    e.i64(msg.unit.amount.micros());
-    enc_path(e, &msg.unit.path);
-    e.u64(msg.unit.deadline_epoch);
-    match &msg.body {
-        MsgBody::SettleHop { hop } => {
-            e.u8(0);
-            e.u32(*hop);
-        }
-        MsgBody::RefundHop { hop } => {
-            e.u8(1);
-            e.u32(*hop);
-        }
-        MsgBody::LockHop { hop } => {
-            e.u8(2);
-            e.u32(*hop);
-        }
-        MsgBody::UnitDelivered => e.u8(3),
-        MsgBody::UnitFailed { blamed, cause } => {
-            e.u8(4);
-            e.u32(blamed.index() as u32);
-            e.u8(match cause {
-                FailCause::Liquidity => 0,
-                FailCause::Outage => 1,
-                FailCause::Dropped => 2,
-                FailCause::Griefed => 3,
-            });
-        }
+impl Codec for Key {
+    fn enc(&self, e: &mut Enc) {
+        (self.epoch, self.rank, self.a, self.b).enc(e);
+    }
+    fn dec(d: &mut Dec, _: &Network) -> Result<Self, BinError> {
+        Ok(Key {
+            epoch: d.u64()?,
+            rank: d.u8()?,
+            a: d.u64()?,
+            b: d.u64()?,
+        })
     }
 }
 
-fn dec_msg(
-    d: &mut Dec,
-    network: &Network,
-    config: &ShardedConfig,
-    fire_epoch: u64,
-) -> Result<Msg, SnapshotError> {
-    let payment = d.u64()?;
-    let seq = d.u32()?;
-    let amount = Amount::from_micros(d.i64()?);
-    let path = dec_path(d, network)?;
-    let deadline_epoch = d.u64()?;
-    // The fate is a pure hash of (fault seed, payment, unit) — recompute it
-    // instead of trusting snapshot bytes. Hop amounts likewise: a pure
-    // function of (fee schedule, path, amount).
-    let fate = match config.faults.as_ref() {
-        Some(plan) => unit_fate(&plan.config, payment, seq, path.hops().len()).0,
-        None => Fate::Deliver { jitter_epochs: 0 },
-    };
-    let hop_amounts = match config.fees.as_ref() {
-        Some(f) if !f.is_free() => Some(f.path_amounts(&path, amount)),
-        _ => None,
-    };
-    let hops = path.hops().len() as u32;
-    let check_hop = |hop: u32| {
-        if hop < hops {
-            Ok(hop)
-        } else {
-            Err(SnapshotError::Corrupt {
-                what: format!("message hop {hop} beyond a {hops}-hop path"),
-            })
-        }
-    };
-    let body = match d.u8()? {
-        0 => MsgBody::SettleHop {
-            hop: check_hop(d.u32()?)?,
-        },
-        1 => MsgBody::RefundHop {
-            hop: check_hop(d.u32()?)?,
-        },
-        2 => MsgBody::LockHop {
-            hop: check_hop(d.u32()?)?,
-        },
-        3 => MsgBody::UnitDelivered,
-        4 => {
-            let blamed = ChannelId(d.u32()?);
-            if blamed.index() >= network.num_channels() {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("blamed channel {} out of range", blamed.index()),
-                });
-            }
-            let cause = match d.u8()? {
-                0 => FailCause::Liquidity,
-                1 => FailCause::Outage,
-                2 => FailCause::Dropped,
-                3 => FailCause::Griefed,
-                tag => {
-                    return Err(SnapshotError::Corrupt {
-                        what: format!("bad failure cause byte {tag}"),
-                    })
-                }
-            };
-            MsgBody::UnitFailed { blamed, cause }
-        }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad message body byte {tag}"),
-            })
-        }
-    };
-    Ok(Msg {
-        fire_epoch,
-        body,
-        unit: Arc::new(UnitInfo {
-            payment,
-            seq,
-            amount,
-            path,
-            fate,
-            hop_amounts,
-            deadline_epoch,
-        }),
-    })
-}
-
-/// Binary capture of one shard's quiescent barrier state, written by
-/// [`encode_shard_blob`] and read back by [`decode_shard_blob`].
-fn encode_shard_blob(ctx: &ShardCtx<'_>) -> Vec<u8> {
-    let mut e = Enc::new();
-    let nq = ctx.network.num_channels();
-    e.usize(nq);
-    for i in 0..nq {
-        let raw = ctx.ledger.export_channel(ChannelId(i as u32));
-        for v in raw {
-            e.i64(v);
-        }
-        e.i64(ctx.snapshot[i][0]);
-        e.i64(ctx.snapshot[i][1]);
+/// Congestion state (`window`, `outstanding`) travels in `SEC_SHARD_EXT`;
+/// the decoded payment starts from the fresh values.
+impl Codec for LocalPayment {
+    fn enc(&self, e: &mut Enc) {
+        (self.id, self.src, self.dst, self.amount).enc(e);
+        (self.arrival_epoch, self.deadline_epoch).enc(e);
+        (self.delivered, self.inflight, self.status, self.delay).enc(e);
+        e.u32(self.next_seq);
+        self.blacklist.enc(e);
+        (self.fail_count, self.not_before_epoch).enc(e);
     }
-    match &ctx.audit {
-        Some(a) => {
-            e.u8(1);
-            snapshot::enc_json(&mut e, &a.export_state());
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        let (id, src, dst, amount) = Codec::dec(d, net)?;
+        let (arrival_epoch, deadline_epoch) = Codec::dec(d, net)?;
+        let (delivered, inflight, status, delay): (_, _, _, Option<f64>) = Codec::dec(d, net)?;
+        if let Some(t) = delay.filter(|t| !t.is_finite()) {
+            return Err(snapshot::invalid(
+                d,
+                format!("non-finite completion delay {t}"),
+            ));
         }
-        None => e.u8(0),
-    }
-    match &ctx.faults {
-        Some(fs) => {
-            e.u8(1);
-            let snap = fs.export_state();
-            e.bytes(&snap.down_causes);
-            e.seq(&snap.node_down, |e, &b| e.bool(b));
-            e.u64(snap.rng_state);
-            snapshot::enc_json(&mut e, &snap.stats);
-        }
-        None => e.u8(0),
-    }
-    e.usize(ctx.plan_cursor);
-    e.usize(ctx.pending_msgs.len());
-    for (&fire_epoch, msgs) in &ctx.pending_msgs {
-        e.u64(fire_epoch);
-        // Inbox drain order varies with thread interleaving; the engine
-        // sorts by key before processing, so sort here too — snapshot bytes
-        // stay a pure function of the run's content.
-        let mut ordered: Vec<&Msg> = msgs.iter().collect();
-        ordered.sort_unstable_by_key(|m| m.key());
-        e.usize(ordered.len());
-        for msg in ordered {
-            enc_msg(&mut e, msg);
-        }
-    }
-    e.usize(ctx.payments.len());
-    for p in &ctx.payments {
-        e.u64(p.id);
-        e.u32(p.src.0);
-        e.u32(p.dst.0);
-        e.i64(p.amount.micros());
-        e.u64(p.arrival_epoch);
-        e.u64(p.deadline_epoch);
-        e.i64(p.delivered.micros());
-        e.i64(p.inflight.micros());
-        e.u8(match p.status {
-            PaymentStatus::Pending => 0,
-            PaymentStatus::Completed => 1,
-            PaymentStatus::Abandoned => 2,
-        });
-        match p.delay {
-            Some(t) => {
-                e.u8(1);
-                e.f64(t);
-            }
-            None => e.u8(0),
-        }
-        e.u32(p.next_seq);
-        e.seq(&p.blacklist, |e, &(c, until)| {
-            e.u32(c.index() as u32);
-            e.u64(until);
-        });
-        e.u32(p.fail_count);
-        e.u64(p.not_before_epoch);
-    }
-    e.seq(&ctx.pending, |e, &i| e.usize(i));
-    e.usize(ctx.arrival_cursor);
-    e.usize(ctx.trace.len());
-    for (k, _) in &ctx.trace {
-        e.u64(k.epoch);
-        e.u8(k.rank);
-        e.u64(k.a);
-        e.u64(k.b);
-    }
-    let events: Vec<TraceEvent> = ctx.trace.iter().map(|(_, ev)| ev.clone()).collect();
-    snapshot::enc_json(&mut e, &events);
-    e.u64(ctx.units_sent);
-    e.seq(&ctx.series, |e, s| {
-        e.u64(s.epoch);
-        e.u64(s.arrived);
-        e.u64(s.completed);
-        e.i64(s.attempted_micros);
-        e.i64(s.delivered_micros);
-    });
-    e.usize(ctx.samples.len());
-    for s in &ctx.samples {
-        e.u64(s.epoch);
-        e.u32(s.pending);
-        e.seq(&s.channels, |e, &(c, imb, ratio, inflight, qdepth)| {
-            e.u32(c);
-            e.f64(imb);
-            e.f64(ratio);
-            e.i64(inflight);
-            e.u32(qdepth);
-        });
-    }
-    snapshot::enc_json(&mut e, &ctx.violations);
-    for v in [
-        ctx.stats.outages,
-        ctx.stats.recoveries,
-        ctx.stats.node_crashes,
-        ctx.stats.units_refunded_by_outage,
-        ctx.stats.units_dropped,
-        ctx.stats.units_jittered,
-        ctx.stats.units_griefed,
-        ctx.stats.retries,
-        ctx.stats.blacklistings,
-        ctx.stats.payments_failed,
-    ] {
-        e.u64(v);
-    }
-    for v in [
-        ctx.counters.events_processed,
-        ctx.counters.settle_msgs,
-        ctx.counters.refund_msgs,
-        ctx.counters.lock_msgs,
-        ctx.counters.control_msgs,
-        ctx.counters.dirty_published,
-    ] {
-        e.u64(v);
-    }
-    e.u64(ctx.arrived_count);
-    e.u64(ctx.completed_count);
-    e.i64(ctx.attempted_micros);
-    e.i64(ctx.delivered_micros);
-    match ctx.scheme.checkpoint_state() {
-        Some(bytes) => {
-            e.u8(1);
-            e.bytes(&bytes);
-        }
-        None => e.u8(0),
-    }
-    e.into_bytes()
-}
-
-/// Decodes the sharded `SEC_CORE` section: the barrier epoch, the shard
-/// count, and one per-shard blob. Every structural problem is a
-/// [`SnapshotError::Corrupt`]; nothing panics.
-fn decode_sharded_core(
-    bytes: &[u8],
-    network: &Network,
-    partition: &Partition,
-    config: &ShardedConfig,
-    progress: u64,
-) -> Result<ShardedResume, SnapshotError> {
-    let mut d = Dec::new(bytes);
-    let epoch = d.u64()?;
-    if epoch != progress {
-        return Err(SnapshotError::Corrupt {
-            what: format!("core section epoch {epoch} disagrees with header progress {progress}"),
-        });
-    }
-    let num_shards = d.u32()? as usize;
-    if num_shards != partition.num_shards() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "snapshot has {num_shards} shards, partition has {}",
-                partition.num_shards()
-            ),
-        });
-    }
-    let mut shards = Vec::with_capacity(num_shards);
-    for _ in 0..num_shards {
-        let blob = d.bytes()?;
-        shards.push(decode_shard_blob(blob, network, config)?);
-    }
-    d.expect_end()?;
-    Ok(ShardedResume { epoch, shards })
-}
-
-/// Decodes and validates one shard's blob, rebuilding the live state the
-/// worker thread starts from.
-#[allow(clippy::too_many_lines)]
-fn decode_shard_blob(
-    bytes: &[u8],
-    network: &Network,
-    config: &ShardedConfig,
-) -> Result<ShardResume, SnapshotError> {
-    let mut d = Dec::new(bytes);
-    let nq = d.usize()?;
-    if nq != network.num_channels() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "shard blob covers {nq} channels, network has {}",
-                network.num_channels()
-            ),
-        });
-    }
-    let mut ledger = Ledger::new(network);
-    let mut balance_snapshot = Vec::with_capacity(nq);
-    for i in 0..nq {
-        let raw = [d.i64()?, d.i64()?, d.i64()?, d.i64()?];
-        ledger.restore_channel(ChannelId(i as u32), raw);
-        balance_snapshot.push([d.i64()?, d.i64()?]);
-    }
-    let audit = match d.u8()? {
-        0 => None,
-        1 => {
-            let state: AuditState = snapshot::dec_json(&mut d)?;
-            Some(LedgerAudit::from_state(state))
-        }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad audit presence byte {tag}"),
-            })
-        }
-    };
-    if audit.is_some() != config.audit {
-        return Err(SnapshotError::Corrupt {
-            what: "snapshot and config disagree about auditing".to_string(),
-        });
-    }
-    let faults = match d.u8()? {
-        0 => None,
-        1 => {
-            let down_causes = d.bytes()?.to_vec();
-            let node_down = d.seq(|d| d.bool())?;
-            let rng_state = d.u64()?;
-            let stats: FaultStats = snapshot::dec_json(&mut d)?;
-            let plan = config
-                .faults
-                .as_ref()
-                .ok_or_else(|| SnapshotError::Corrupt {
-                    what: "snapshot has fault state but config has no fault plan".to_string(),
-                })?;
-            let mut fs = FaultState::new(plan, network);
-            fs.restore_state(crate::faults::FaultStateSnapshot {
-                down_causes,
-                node_down,
-                rng_state,
-                stats,
-            })
-            .map_err(|what| SnapshotError::Corrupt { what })?;
-            Some(fs)
-        }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad fault presence byte {tag}"),
-            })
-        }
-    };
-    if faults.is_none() && config.faults.is_some() {
-        return Err(SnapshotError::Corrupt {
-            what: "config has a fault plan but snapshot has no fault state".to_string(),
-        });
-    }
-    let plan_cursor = d.usize()?;
-    let n_buckets = d.usize()?;
-    let mut pending_msgs: BTreeMap<u64, Vec<Msg>> = BTreeMap::new();
-    let mut last_epoch = None;
-    for _ in 0..n_buckets {
-        let fire_epoch = d.u64()?;
-        if last_epoch.is_some_and(|prev| prev >= fire_epoch) {
-            return Err(SnapshotError::Corrupt {
-                what: "message buckets out of order".to_string(),
-            });
-        }
-        last_epoch = Some(fire_epoch);
-        let n_msgs = d.usize()?;
-        let mut msgs = Vec::with_capacity(n_msgs);
-        for _ in 0..n_msgs {
-            msgs.push(dec_msg(&mut d, network, config, fire_epoch)?);
-        }
-        pending_msgs.insert(fire_epoch, msgs);
-    }
-    let n_payments = d.usize()?;
-    let mut payments: Vec<LocalPayment> = Vec::with_capacity(n_payments);
-    for _ in 0..n_payments {
-        let id = d.u64()?;
-        if payments.last().is_some_and(|p: &LocalPayment| p.id >= id) {
-            return Err(SnapshotError::Corrupt {
-                what: "payment slab not sorted by id".to_string(),
-            });
-        }
-        let src = NodeId(d.u32()?);
-        let dst = NodeId(d.u32()?);
-        if src.index() >= network.num_nodes() || dst.index() >= network.num_nodes() {
-            return Err(SnapshotError::Corrupt {
-                what: format!("payment {id} endpoints out of range"),
-            });
-        }
-        let amount = Amount::from_micros(d.i64()?);
-        let arrival_epoch = d.u64()?;
-        let deadline_epoch = d.u64()?;
-        let delivered = Amount::from_micros(d.i64()?);
-        let inflight = Amount::from_micros(d.i64()?);
-        let status = match d.u8()? {
-            0 => PaymentStatus::Pending,
-            1 => PaymentStatus::Completed,
-            2 => PaymentStatus::Abandoned,
-            tag => {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("bad payment status byte {tag}"),
-                })
-            }
-        };
-        let delay = match d.u8()? {
-            0 => None,
-            1 => {
-                let t = d.f64()?;
-                if !t.is_finite() {
-                    return Err(SnapshotError::Corrupt {
-                        what: format!("non-finite completion delay {t}"),
-                    });
-                }
-                Some(t)
-            }
-            tag => {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("bad delay presence byte {tag}"),
-                })
-            }
-        };
-        let next_seq = d.u32()?;
-        let blacklist = d.seq(|d| Ok((ChannelId(d.u32()?), d.u64()?)))?;
-        for &(c, _) in &blacklist {
-            if c.index() >= network.num_channels() {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("blacklisted channel {} out of range", c.index()),
-                });
-            }
-        }
-        payments.push(LocalPayment {
+        Ok(LocalPayment {
             id,
             src,
             dst,
@@ -2867,54 +2327,22 @@ fn decode_shard_blob(
             inflight,
             status,
             delay,
-            next_seq,
-            blacklist,
+            next_seq: d.u32()?,
+            blacklist: Codec::dec(d, net)?,
             fail_count: d.u32()?,
             not_before_epoch: d.u64()?,
-            // Congestion state is restored from the SEC_SHARD_EXT section.
-            window: config
-                .congestion
-                .as_ref()
-                .map_or(0.0, |cc| cc.initial_window),
+            window: 0.0,
             outstanding: 0,
-        });
+        })
     }
-    let pending = d.seq(|d| d.usize())?;
-    for &i in &pending {
-        if i >= payments.len() {
-            return Err(SnapshotError::Corrupt {
-                what: format!("pending index {i} out of range"),
-            });
-        }
+}
+
+impl Codec for SeriesPartial {
+    fn enc(&self, e: &mut Enc) {
+        (self.epoch, self.arrived, self.completed).enc(e);
+        (self.attempted_micros, self.delivered_micros).enc(e);
     }
-    let arrival_cursor = d.usize()?;
-    if arrival_cursor > payments.len() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "arrival cursor {arrival_cursor} beyond {} payments",
-                payments.len()
-            ),
-        });
-    }
-    let n_trace = d.usize()?;
-    let mut keys = Vec::with_capacity(n_trace);
-    for _ in 0..n_trace {
-        keys.push(Key {
-            epoch: d.u64()?,
-            rank: d.u8()?,
-            a: d.u64()?,
-            b: d.u64()?,
-        });
-    }
-    let events: Vec<TraceEvent> = snapshot::dec_json(&mut d)?;
-    if events.len() != n_trace {
-        return Err(SnapshotError::Corrupt {
-            what: format!("{n_trace} trace keys but {} trace events", events.len()),
-        });
-    }
-    let trace: Vec<(Key, TraceEvent)> = keys.into_iter().zip(events).collect();
-    let units_sent = d.u64()?;
-    let series = d.seq(|d| {
+    fn dec(d: &mut Dec, _: &Network) -> Result<Self, BinError> {
         Ok(SeriesPartial {
             epoch: d.u64()?,
             arrived: d.u64()?,
@@ -2922,346 +2350,473 @@ fn decode_shard_blob(
             attempted_micros: d.i64()?,
             delivered_micros: d.i64()?,
         })
-    })?;
-    let n_samples = d.usize()?;
-    let mut samples = Vec::with_capacity(n_samples);
-    for _ in 0..n_samples {
-        let epoch = d.u64()?;
-        let pending_count = d.u32()?;
-        let channels = d.seq(|d| Ok((d.u32()?, d.f64()?, d.f64()?, d.i64()?, d.u32()?)))?;
-        samples.push(SamplePartial {
-            epoch,
-            pending: pending_count,
-            channels,
-        });
     }
-    let violations: Vec<AuditViolation> = snapshot::dec_json(&mut d)?;
-    let stats = ShardStats {
-        outages: d.u64()?,
-        recoveries: d.u64()?,
-        node_crashes: d.u64()?,
-        units_refunded_by_outage: d.u64()?,
-        units_dropped: d.u64()?,
-        units_jittered: d.u64()?,
-        units_griefed: d.u64()?,
-        retries: d.u64()?,
-        blacklistings: d.u64()?,
-        payments_failed: d.u64()?,
-    };
-    let counters = ShardCounters {
-        events_processed: d.u64()?,
-        settle_msgs: d.u64()?,
-        refund_msgs: d.u64()?,
-        lock_msgs: d.u64()?,
-        control_msgs: d.u64()?,
-        dirty_published: d.u64()?,
-    };
-    let arrived_count = d.u64()?;
-    let completed_count = d.u64()?;
-    let attempted_micros = d.i64()?;
-    let delivered_micros = d.i64()?;
-    let mut scheme = config.scheme.build();
-    match d.u8()? {
-        0 => {}
-        1 => {
-            let state = d.bytes()?;
-            scheme
-                .restore_state(network, state)
-                .map_err(|e| SnapshotError::Corrupt {
-                    what: format!("routing scheme state: {e}"),
-                })?;
-        }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad scheme presence byte {tag}"),
-            })
-        }
-    }
-    d.expect_end()?;
-    Ok(ShardResume {
-        scheme,
-        ledger,
-        audit,
-        faults,
-        plan_cursor,
-        snapshot: balance_snapshot,
-        pending_msgs,
-        payments,
-        pending,
-        arrival_cursor,
-        trace,
-        units_sent,
-        series,
-        samples,
-        violations,
-        stats,
-        counters,
-        arrived_count,
-        completed_count,
-        attempted_micros,
-        delivered_micros,
-        // Filled in by [`apply_sharded_ext`] from the SEC_SHARD_EXT section.
-        queues: BTreeMap::new(),
-        routing_fees_micros: 0,
-        rebalance_pending: vec![false; network.num_channels()],
-        rebalance_applies: Vec::new(),
-        rebal_transactions: 0,
-        rebal_moved_micros: 0,
-        rebal_fees_micros: 0,
-    })
 }
 
-/// Binary capture of one shard's feature-extension state (router queues,
-/// fee accrual, congestion windows, rebalancing schedule) for the
-/// `SEC_SHARD_EXT` snapshot section.
-fn encode_shard_ext(ctx: &ShardCtx<'_>) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.i64(ctx.routing_fees_micros);
-    match ctx.cfg.congestion {
-        Some(_) => {
-            e.u8(1);
-            // Slab order: the decode side walks the same sorted-by-id slab.
-            e.seq(&ctx.payments, |e, p| {
-                e.f64(p.window);
-                e.u32(p.outstanding);
-            });
-        }
-        None => e.u8(0),
+impl Codec for SamplePartial {
+    fn enc(&self, e: &mut Enc) {
+        (self.epoch, self.pending).enc(e);
+        self.channels.enc(e);
     }
-    match ctx.cfg.policy {
-        ShardPolicy::Queued => {
-            e.u8(1);
-            e.usize(ctx.queues.len());
-            for (&(channel, dir), q) in &ctx.queues {
-                e.u32(channel);
-                e.u8(dir);
-                e.usize(q.len());
-                for entry in q {
-                    e.u64(entry.unit.payment);
-                    e.u32(entry.unit.seq);
-                    e.i64(entry.unit.amount.micros());
-                    enc_path(&mut e, &entry.unit.path);
-                    e.u64(entry.unit.deadline_epoch);
-                    e.u32(entry.hop);
-                    e.u64(entry.enqueued_epoch);
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        Ok(SamplePartial {
+            epoch: d.u64()?,
+            pending: d.u32()?,
+            channels: Codec::dec(d, net)?,
+        })
+    }
+}
+
+impl Codec for ShardStats {
+    fn enc(&self, e: &mut Enc) {
+        (self.outages, self.recoveries, self.node_crashes).enc(e);
+        (self.units_refunded_by_outage, self.units_dropped).enc(e);
+        (self.units_jittered, self.units_griefed, self.retries).enc(e);
+        (self.blacklistings, self.payments_failed).enc(e);
+    }
+    fn dec(d: &mut Dec, _: &Network) -> Result<Self, BinError> {
+        Ok(ShardStats {
+            outages: d.u64()?,
+            recoveries: d.u64()?,
+            node_crashes: d.u64()?,
+            units_refunded_by_outage: d.u64()?,
+            units_dropped: d.u64()?,
+            units_jittered: d.u64()?,
+            units_griefed: d.u64()?,
+            retries: d.u64()?,
+            blacklistings: d.u64()?,
+            payments_failed: d.u64()?,
+        })
+    }
+}
+
+impl Codec for ShardCounters {
+    fn enc(&self, e: &mut Enc) {
+        (self.events_processed, self.settle_msgs, self.refund_msgs).enc(e);
+        (self.lock_msgs, self.control_msgs, self.dirty_published).enc(e);
+    }
+    fn dec(d: &mut Dec, _: &Network) -> Result<Self, BinError> {
+        Ok(ShardCounters {
+            events_processed: d.u64()?,
+            settle_msgs: d.u64()?,
+            refund_msgs: d.u64()?,
+            lock_msgs: d.u64()?,
+            control_msgs: d.u64()?,
+            dirty_published: d.u64()?,
+        })
+    }
+}
+
+impl UnitInfo {
+    fn enc(&self, e: &mut Enc) {
+        (self.payment, self.seq, self.amount).enc(e);
+        self.path.enc(e);
+        e.u64(self.deadline_epoch);
+    }
+
+    /// Decodes a unit written by [`enc`](Self::enc). The fate is a pure hash
+    /// of (fault seed, payment, unit) and the hop amounts a pure function of
+    /// (fee schedule, path, amount): both are recomputed rather than
+    /// trusted from snapshot bytes.
+    fn dec(d: &mut Dec, network: &Network, config: &ShardedConfig) -> Result<Self, BinError> {
+        let (payment, seq, amount): (u64, u32, Amount) = Codec::dec(d, network)?;
+        let path: Arc<Path> = Codec::dec(d, network)?;
+        let deadline_epoch = d.u64()?;
+        let fate = match config.faults.as_ref() {
+            Some(plan) => unit_fate(&plan.config, payment, seq, path.hops().len()).0,
+            None => Fate::Deliver { jitter_epochs: 0 },
+        };
+        let hop_amounts = match config.fees.as_ref() {
+            Some(f) if !f.is_free() => Some(f.path_amounts(&path, amount)),
+            _ => None,
+        };
+        Ok(UnitInfo {
+            payment,
+            seq,
+            amount,
+            path,
+            fate,
+            hop_amounts,
+            deadline_epoch,
+        })
+    }
+}
+
+impl Msg {
+    fn enc(&self, e: &mut Enc) {
+        self.unit.enc(e);
+        match &self.body {
+            MsgBody::SettleHop { hop } => (0u8, *hop).enc(e),
+            MsgBody::RefundHop { hop } => (1u8, *hop).enc(e),
+            MsgBody::LockHop { hop } => (2u8, *hop).enc(e),
+            MsgBody::UnitDelivered => e.u8(3),
+            MsgBody::UnitFailed { blamed, cause } => {
+                let cause: u8 = match cause {
+                    FailCause::Liquidity => 0,
+                    FailCause::Outage => 1,
+                    FailCause::Dropped => 2,
+                    FailCause::Griefed => 3,
+                };
+                (4u8, *blamed, cause).enc(e);
+            }
+        }
+    }
+
+    fn dec(
+        d: &mut Dec,
+        network: &Network,
+        config: &ShardedConfig,
+        fire_epoch: u64,
+    ) -> Result<Self, BinError> {
+        let unit = UnitInfo::dec(d, network, config)?;
+        let hops = unit.path.hops().len() as u32;
+        let hop = |d: &mut Dec| match d.u32()? {
+            hop if hop < hops => Ok(hop),
+            hop => Err(snapshot::invalid(
+                d,
+                format!("message hop {hop} beyond a {hops}-hop path"),
+            )),
+        };
+        let body = match d.u8()? {
+            0 => MsgBody::SettleHop { hop: hop(d)? },
+            1 => MsgBody::RefundHop { hop: hop(d)? },
+            2 => MsgBody::LockHop { hop: hop(d)? },
+            3 => MsgBody::UnitDelivered,
+            4 => MsgBody::UnitFailed {
+                blamed: ChannelId::dec(d, network)?,
+                cause: match d.u8()? {
+                    0 => FailCause::Liquidity,
+                    1 => FailCause::Outage,
+                    2 => FailCause::Dropped,
+                    3 => FailCause::Griefed,
+                    tag => return Err(snapshot::invalid(d, format!("failure cause byte {tag}"))),
+                },
+            },
+            tag => return Err(snapshot::invalid(d, format!("message body byte {tag}"))),
+        };
+        Ok(Msg {
+            fire_epoch,
+            body,
+            unit: Arc::new(unit),
+        })
+    }
+}
+
+impl QueuedUnit {
+    fn enc(&self, e: &mut Enc) {
+        self.unit.enc(e);
+        (self.hop, self.enqueued_epoch).enc(e);
+    }
+
+    /// Decodes a unit queued at `channel`, checking that its hop crosses it.
+    fn dec(
+        d: &mut Dec,
+        network: &Network,
+        config: &ShardedConfig,
+        channel: u32,
+    ) -> Result<Self, BinError> {
+        let unit = UnitInfo::dec(d, network, config)?;
+        let (hop, enqueued_epoch): (u32, u64) = Codec::dec(d, network)?;
+        match unit.path.hops().get(hop as usize) {
+            Some(&(c, _)) if c.index() as u32 == channel => Ok(QueuedUnit {
+                unit: Arc::new(unit),
+                hop,
+                enqueued_epoch,
+            }),
+            _ => Err(snapshot::invalid(
+                d,
+                format!("queued unit hop {hop} not on channel {channel}"),
+            )),
+        }
+    }
+}
+
+impl ShardCtx<'_> {
+    /// This shard's `SEC_CORE` blob.
+    fn encode_core(&self) -> Vec<u8> {
+        let e = &mut Enc::new();
+        snapshot::enc_ledger(e, &self.ledger, |e, i| self.snapshot[i].enc(e));
+        self.audit.enc(e);
+        self.faults.as_ref().map(FaultState::export_state).enc(e);
+        e.usize(self.plan_cursor);
+        e.usize(self.pending_msgs.len());
+        for (&fire_epoch, msgs) in &self.pending_msgs {
+            e.u64(fire_epoch);
+            // Inbox drain order varies with thread interleaving; the engine
+            // sorts by key before processing, so sort here too — snapshot
+            // bytes stay a pure function of the run's content.
+            let mut ordered: Vec<&Msg> = msgs.iter().collect();
+            ordered.sort_unstable_by_key(|m| m.key());
+            e.seq(&ordered, |e, m| m.enc(e));
+        }
+        self.payments.enc(e);
+        self.pending.enc(e);
+        e.usize(self.arrival_cursor);
+        e.seq(&self.trace, |e, (k, _)| k.enc(e));
+        let events: Vec<&TraceEvent> = self.trace.iter().map(|(_, ev)| ev).collect();
+        snapshot::enc_json(e, &events);
+        e.u64(self.units_sent);
+        self.series.enc(e);
+        self.samples.enc(e);
+        snapshot::enc_json(e, &self.violations);
+        (self.stats, self.counters).enc(e);
+        (self.arrived_count, self.completed_count).enc(e);
+        (self.attempted_micros, self.delivered_micros).enc(e);
+        e.opt(
+            self.scheme
+                .checkpoint_state()
+                .map(|b| move |e: &mut Enc| e.bytes(&b)),
+        );
+        std::mem::take(e).into_bytes()
+    }
+
+    /// This shard's `SEC_SHARD_EXT` blob: fee accrual, congestion windows,
+    /// router queues, and the rebalancing schedule, each present exactly
+    /// when the config enables it.
+    fn encode_ext(&self) -> Vec<u8> {
+        let e = &mut Enc::new();
+        e.i64(self.routing_fees_micros);
+        // Slab order: the decode side walks the same sorted-by-id slab.
+        e.opt(
+            self.cfg.congestion.as_ref().map(|_| {
+                |e: &mut Enc| e.seq(&self.payments, |e, p| (p.window, p.outstanding).enc(e))
+            }),
+        );
+        e.opt(
+            (self.cfg.policy == ShardPolicy::Queued).then_some(|e: &mut Enc| {
+                e.usize(self.queues.len());
+                for (&key, q) in &self.queues {
+                    key.enc(e);
+                    e.seq(q, |e, entry| entry.enc(e));
                 }
+            }),
+        );
+        e.opt(self.cfg.rebalance.as_ref().map(|_| {
+            |e: &mut Enc| {
+                self.rebalance_applies.enc(e);
+                (self.rebal_transactions, self.rebal_moved_micros).enc(e);
+                e.i64(self.rebal_fees_micros);
             }
-        }
-        ShardPolicy::Direct => e.u8(0),
+        }));
+        std::mem::take(e).into_bytes()
     }
-    match ctx.cfg.rebalance {
-        Some(_) => {
-            e.u8(1);
-            e.seq(&ctx.rebalance_applies, |e, &(fire, c)| {
-                e.u64(fire);
-                e.u32(c);
-            });
-            e.u64(ctx.rebal_transactions);
-            e.i64(ctx.rebal_moved_micros);
-            e.i64(ctx.rebal_fees_micros);
-        }
-        None => e.u8(0),
-    }
-    e.into_bytes()
-}
 
-/// Decodes the `SEC_SHARD_EXT` section into the already-decoded core
-/// resume state: per-shard router queues, fee accrual, congestion windows,
-/// and the rebalancing schedule. Presence flags must agree with the
-/// config, mirroring the core section's audit/fault checks.
-fn apply_sharded_ext(
-    state: &mut ShardedResume,
-    bytes: &[u8],
-    network: &Network,
-    config: &ShardedConfig,
-) -> Result<(), SnapshotError> {
-    let mut d = Dec::new(bytes);
-    let num_shards = d.u32()? as usize;
-    if num_shards != state.shards.len() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "extension section has {num_shards} shards, core has {}",
-                state.shards.len()
-            ),
-        });
-    }
-    for shard in state.shards.iter_mut() {
-        let blob = d.bytes()?;
-        apply_shard_ext_blob(shard, blob, network, config)?;
-    }
-    d.expect_end()?;
-    Ok(())
-}
-
-/// Decodes one shard's extension blob into its [`ShardResume`].
-fn apply_shard_ext_blob(
-    shard: &mut ShardResume,
-    bytes: &[u8],
-    network: &Network,
-    config: &ShardedConfig,
-) -> Result<(), SnapshotError> {
-    let mut d = Dec::new(bytes);
-    shard.routing_fees_micros = d.i64()?;
-    match d.u8()? {
-        0 => {
-            if config.congestion.is_some() {
-                return Err(SnapshotError::Corrupt {
-                    what: "config has congestion control but snapshot has no windows".to_string(),
-                });
+    /// Decodes this shard's blobs (written by [`encode_core`](Self::encode_core)
+    /// and [`encode_ext`](Self::encode_ext)) into a context fresh from
+    /// [`ShardCtx::new`], cross-checking feature presence against the
+    /// config and range-checking every index. Nothing panics.
+    fn restore(&mut self, core: &[u8], ext: &[u8]) -> Result<(), SnapshotError> {
+        let (network, cfg) = (self.network, self.cfg);
+        let d = &mut Dec::new(core);
+        let snapshot = &mut self.snapshot;
+        self.ledger = snapshot::dec_ledger(d, network, |d, i| {
+            snapshot[i] = Codec::dec(d, network)?;
+            Ok(())
+        })?;
+        self.audit = Codec::dec(d, network)?;
+        snapshot::check_presence("audit", self.audit.is_some(), cfg.audit)?;
+        let faults: Option<FaultStateSnapshot> = Codec::dec(d, network)?;
+        snapshot::check_presence("fault", faults.is_some(), cfg.faults.is_some())?;
+        if let (Some(snap), Some(fs)) = (faults, self.faults.as_mut()) {
+            fs.restore_state(snap).map_err(corrupt)?;
+        }
+        self.plan_cursor = d.usize()?;
+        if self.plan_cursor > self.plan_events.len() {
+            return Err(corrupt(format!("fault plan cursor {}", self.plan_cursor)));
+        }
+        let n_buckets = d.usize()?;
+        for _ in 0..n_buckets {
+            let fire_epoch = d.u64()?;
+            if self
+                .pending_msgs
+                .last_key_value()
+                .is_some_and(|(&prev, _)| prev >= fire_epoch)
+            {
+                return Err(corrupt("message buckets out of order"));
+            }
+            let msgs = d.seq(|d| Msg::dec(d, network, cfg, fire_epoch))?;
+            self.pending_msgs.insert(fire_epoch, msgs);
+        }
+        let payments: Vec<LocalPayment> = Codec::dec(d, network)?;
+        if payments.windows(2).any(|w| w[0].id >= w[1].id) {
+            return Err(corrupt("payment slab not sorted by id"));
+        }
+        self.arrivals = arrival_index(&payments);
+        self.payments = payments;
+        self.pending = Codec::dec(d, network)?;
+        for &i in &self.pending {
+            snapshot::check_index("pending payment", i, self.payments.len())?;
+        }
+        self.arrival_cursor = d.usize()?;
+        if self.arrival_cursor > self.payments.len() {
+            return Err(corrupt(format!(
+                "arrival cursor {} beyond {} payments",
+                self.arrival_cursor,
+                self.payments.len()
+            )));
+        }
+        let keys: Vec<Key> = Codec::dec(d, network)?;
+        let events: Vec<TraceEvent> = snapshot::dec_json(d)?;
+        if events.len() != keys.len() {
+            return Err(corrupt(format!(
+                "{} trace keys but {} trace events",
+                keys.len(),
+                events.len()
+            )));
+        }
+        self.trace = keys.into_iter().zip(events).collect();
+        self.units_sent = d.u64()?;
+        (self.series, self.samples) = Codec::dec(d, network)?;
+        self.violations = snapshot::dec_json(d)?;
+        (self.stats, self.counters) = Codec::dec(d, network)?;
+        (self.arrived_count, self.completed_count) = Codec::dec(d, network)?;
+        (self.attempted_micros, self.delivered_micros) = Codec::dec(d, network)?;
+        if let Some(state) = d.opt(|d| d.bytes())? {
+            self.scheme
+                .restore_state(network, state)
+                .map_err(|e| corrupt(format!("routing scheme state: {e}")))?;
+        }
+        d.expect_end()?;
+        // Payment-owner notifications must name a payment this shard owns.
+        for msg in self.pending_msgs.values().flatten() {
+            if matches!(
+                msg.body,
+                MsgBody::UnitDelivered | MsgBody::UnitFailed { .. }
+            ) && self
+                .payments
+                .binary_search_by_key(&msg.unit.payment, |p| p.id)
+                .is_err()
+            {
+                return Err(corrupt(format!(
+                    "message for unowned payment {}",
+                    msg.unit.payment
+                )));
             }
         }
-        1 => {
-            if config.congestion.is_none() {
-                return Err(SnapshotError::Corrupt {
-                    what: "snapshot has congestion windows but config has none".to_string(),
-                });
+
+        let d = &mut Dec::new(ext);
+        self.routing_fees_micros = d.i64()?;
+        let windows: Option<Vec<(f64, u32)>> = Codec::dec(d, network)?;
+        snapshot::check_presence("congestion", windows.is_some(), cfg.congestion.is_some())?;
+        if let Some(windows) = windows {
+            if windows.len() != self.payments.len() {
+                return Err(corrupt(format!(
+                    "{} congestion windows for {} payments",
+                    windows.len(),
+                    self.payments.len()
+                )));
             }
-            let windows = d.seq(|d| Ok((d.f64()?, d.u32()?)))?;
-            if windows.len() != shard.payments.len() {
-                return Err(SnapshotError::Corrupt {
-                    what: format!(
-                        "{} congestion windows for {} payments",
-                        windows.len(),
-                        shard.payments.len()
-                    ),
-                });
-            }
-            for (p, (window, outstanding)) in shard.payments.iter_mut().zip(windows) {
+            for (p, (window, outstanding)) in self.payments.iter_mut().zip(windows) {
                 if !window.is_finite() || window <= 0.0 {
-                    return Err(SnapshotError::Corrupt {
-                        what: format!("bad congestion window {window}"),
-                    });
+                    return Err(corrupt(format!("bad congestion window {window}")));
                 }
                 p.window = window;
                 p.outstanding = outstanding;
             }
         }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad congestion presence byte {tag}"),
-            })
-        }
-    }
-    match d.u8()? {
-        0 => {
-            if config.policy == ShardPolicy::Queued {
-                return Err(SnapshotError::Corrupt {
-                    what: "config uses the queued policy but snapshot has no queues".to_string(),
-                });
-            }
-        }
-        1 => {
-            if config.policy != ShardPolicy::Queued {
-                return Err(SnapshotError::Corrupt {
-                    what: "snapshot has router queues but config is direct".to_string(),
-                });
-            }
-            let n_queues = d.usize()?;
-            let mut last_key: Option<(u32, u8)> = None;
-            for _ in 0..n_queues {
-                let channel = d.u32()?;
-                let dir = d.u8()?;
-                if channel as usize >= network.num_channels() || dir > 1 {
-                    return Err(SnapshotError::Corrupt {
-                        what: format!("queue key ({channel}, {dir}) out of range"),
-                    });
+        let queues = d.opt(|d| {
+            let mut queues: BTreeMap<(u32, u8), Vec<QueuedUnit>> = BTreeMap::new();
+            for _ in 0..d.usize()? {
+                let (channel, dir): (ChannelId, u8) = Codec::dec(d, network)?;
+                let key = (channel.index() as u32, dir);
+                if dir > 1
+                    || queues
+                        .last_key_value()
+                        .is_some_and(|(&prev, _)| prev >= key)
+                {
+                    return Err(snapshot::invalid(d, format!("router queue key {key:?}")));
                 }
-                let key = (channel, dir);
-                if last_key.is_some_and(|prev| prev >= key) {
-                    return Err(SnapshotError::Corrupt {
-                        what: "router queues out of order".to_string(),
-                    });
-                }
-                last_key = Some(key);
-                let n_entries = d.usize()?;
-                let mut q = Vec::with_capacity(n_entries);
-                for _ in 0..n_entries {
-                    let payment = d.u64()?;
-                    let seq = d.u32()?;
-                    let amount = Amount::from_micros(d.i64()?);
-                    let path = dec_path(&mut d, network)?;
-                    let deadline_epoch = d.u64()?;
-                    let hop = d.u32()?;
-                    let enqueued_epoch = d.u64()?;
-                    if hop as usize >= path.hops().len() {
-                        return Err(SnapshotError::Corrupt {
-                            what: format!("queued unit hop {hop} beyond its path"),
-                        });
-                    }
-                    if path.hops()[hop as usize].0.index() as u32 != channel {
-                        return Err(SnapshotError::Corrupt {
-                            what: format!("queued unit hop {hop} not on channel {channel}"),
-                        });
-                    }
-                    // Fate and hop amounts are pure functions of content,
-                    // recomputed exactly as `dec_msg` does.
-                    let fate = match config.faults.as_ref() {
-                        Some(plan) => unit_fate(&plan.config, payment, seq, path.hops().len()).0,
-                        None => Fate::Deliver { jitter_epochs: 0 },
-                    };
-                    let hop_amounts = match config.fees.as_ref() {
-                        Some(f) if !f.is_free() => Some(f.path_amounts(&path, amount)),
-                        _ => None,
-                    };
-                    q.push(QueuedUnit {
-                        unit: Arc::new(UnitInfo {
-                            payment,
-                            seq,
-                            amount,
-                            path,
-                            fate,
-                            hop_amounts,
-                            deadline_epoch,
-                        }),
-                        hop,
-                        enqueued_epoch,
-                    });
-                }
-                shard.queues.insert(key, q);
+                let q = d.seq(|d| QueuedUnit::dec(d, network, cfg, key.0))?;
+                queues.insert(key, q);
             }
-        }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad queue presence byte {tag}"),
-            })
-        }
-    }
-    match d.u8()? {
-        0 => {
-            if config.rebalance.is_some() {
-                return Err(SnapshotError::Corrupt {
-                    what: "config has rebalancing but snapshot has no schedule".to_string(),
-                });
-            }
-        }
-        1 => {
-            if config.rebalance.is_none() {
-                return Err(SnapshotError::Corrupt {
-                    what: "snapshot has a rebalance schedule but config has none".to_string(),
-                });
-            }
-            let applies = d.seq(|d| Ok((d.u64()?, d.u32()?)))?;
+            Ok(queues)
+        })?;
+        snapshot::check_presence(
+            "router queue",
+            queues.is_some(),
+            cfg.policy == ShardPolicy::Queued,
+        )?;
+        self.queues = queues.unwrap_or_default();
+        let schedule = d.opt(|d| {
+            let applies: Vec<(u64, ChannelId)> = Codec::dec(d, network)?;
+            Ok((applies, Codec::dec(d, network)?))
+        })?;
+        snapshot::check_presence("rebalance", schedule.is_some(), cfg.rebalance.is_some())?;
+        if let Some((applies, totals)) = schedule {
             for &(_, c) in &applies {
-                if c as usize >= network.num_channels() {
-                    return Err(SnapshotError::Corrupt {
-                        what: format!("rebalance channel {c} out of range"),
-                    });
-                }
-                shard.rebalance_pending[c as usize] = true;
+                self.rebalance_pending[c.index()] = true;
             }
-            shard.rebalance_applies = applies;
-            shard.rebal_transactions = d.u64()?;
-            shard.rebal_moved_micros = d.i64()?;
-            shard.rebal_fees_micros = d.i64()?;
+            self.rebalance_applies = applies.into_iter().map(|(fire, c)| (fire, c.0)).collect();
+            (
+                self.rebal_transactions,
+                self.rebal_moved_micros,
+                self.rebal_fees_micros,
+            ) = totals;
         }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad rebalance presence byte {tag}"),
-            })
-        }
+        d.expect_end()?;
+        Ok(())
     }
-    d.expect_end()?;
-    Ok(())
+}
+
+/// Rebuilds every shard's context from a sharded snapshot: `SEC_CORE` holds
+/// the barrier epoch, the shard count, and one blob per shard;
+/// `SEC_SHARD_EXT` holds the shard count and one extension blob per shard.
+fn restore_shards<'a>(
+    snap: &Snapshot,
+    network: &'a Network,
+    partition: &'a Partition,
+    config: &'a ShardedConfig,
+    clock: Clockwork,
+    plan_events: &[(u64, u64, FaultEvent)],
+) -> Result<Vec<ShardCtx<'a>>, SnapshotError> {
+    let core = &mut Dec::new(snap.section(snapshot::SEC_CORE)?);
+    let epoch = core.u64()?;
+    if epoch != snap.progress {
+        return Err(corrupt(format!(
+            "core section epoch {epoch} disagrees with header progress {}",
+            snap.progress
+        )));
+    }
+    let num_shards = core.u32()? as usize;
+    if num_shards != partition.num_shards() {
+        return Err(corrupt(format!(
+            "snapshot has {num_shards} shards, partition has {}",
+            partition.num_shards()
+        )));
+    }
+    let core_blobs = (0..num_shards)
+        .map(|_| core.bytes())
+        .collect::<Result<Vec<_>, _>>()?;
+    core.expect_end()?;
+    let ext = &mut Dec::new(snap.section(snapshot::SEC_SHARD_EXT)?);
+    let ext_shards = ext.u32()? as usize;
+    if ext_shards != num_shards {
+        return Err(corrupt(format!(
+            "extension section has {ext_shards} shards, core has {num_shards}"
+        )));
+    }
+    let ext_blobs = (0..num_shards)
+        .map(|_| ext.bytes())
+        .collect::<Result<Vec<_>, _>>()?;
+    ext.expect_end()?;
+    core_blobs
+        .into_iter()
+        .zip(ext_blobs)
+        .enumerate()
+        .map(|(shard, (core, ext))| {
+            let mut ctx = ShardCtx::new(
+                shard as u16,
+                network,
+                partition,
+                config,
+                clock,
+                plan_events,
+                Vec::new(),
+            );
+            ctx.restore(core, ext)?;
+            Ok(ctx)
+        })
+        .collect()
 }
 
 /// Deterministically merges the shard outputs into one [`SimReport`].
@@ -3634,52 +3189,14 @@ mod tests {
             return;
         };
         let cfg = ShardedConfig::new(1.0);
-        let mut ctx = ShardCtx {
-            shard: 0,
-            network: &g,
-            partition: &partition,
-            cfg: &cfg,
-            clock: Clockwork {
-                end_epoch: 1,
-                delta_epochs: 1,
-                poll_epochs: 1,
-                deadline_epochs: 1,
-                sample_epochs: u64::MAX,
-            },
-            scheme: cfg.scheme.build(),
-            ledger: Ledger::new(&g),
-            audit: None,
-            faults: None,
-            plan_events: Vec::new(),
-            plan_cursor: 0,
-            snapshot: vec![[0, 0]; g.num_channels()],
-            dirty: Vec::new(),
-            pending_msgs: BTreeMap::new(),
-            staged: vec![Vec::new(), Vec::new()],
-            payments: Vec::new(),
-            pending: Vec::new(),
-            arrivals: Vec::new(),
-            arrival_cursor: 0,
-            trace: Vec::new(),
-            tel_on: false,
-            units_sent: 0,
-            series: Vec::new(),
-            samples: Vec::new(),
-            violations: Vec::new(),
-            stats: ShardStats::default(),
-            counters: ShardCounters::default(),
-            arrived_count: 0,
-            completed_count: 0,
-            attempted_micros: 0,
-            delivered_micros: 0,
-            queues: BTreeMap::new(),
-            routing_fees_micros: 0,
-            rebalance_pending: vec![false; g.num_channels()],
-            rebalance_applies: Vec::new(),
-            rebal_transactions: 0,
-            rebal_moved_micros: 0,
-            rebal_fees_micros: 0,
+        let clock = Clockwork {
+            end_epoch: 1,
+            delta_epochs: 1,
+            poll_epochs: 1,
+            deadline_epochs: 1,
+            sample_epochs: u64::MAX,
         };
+        let mut ctx = ShardCtx::new(0, &g, &partition, &cfg, clock, &[], Vec::new());
         assert!(!ctx.own(foreign, 1, "test-mutation"));
         assert_eq!(ctx.violations.len(), 1);
         assert!(matches!(

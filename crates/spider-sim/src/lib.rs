@@ -37,7 +37,7 @@ pub mod wire;
 pub use audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 pub use congestion::{CongestionConfig, CongestionControl};
 pub use engine::{run, SimConfig};
-pub use engine_queued::{run_queued, QueuePolicy, QueueStats, QueuedConfig, QueuedReport};
+pub use engine_queued::{run_queued, QueueStats, QueuedConfig, QueuedReport};
 pub use engine_sharded::{
     resume_sharded, run_sharded, run_sharded_checkpointed, ShardEpochMetrics, ShardObservability,
     ShardPolicy, ShardScheme, ShardedConfig,
@@ -51,6 +51,6 @@ pub use ledger::{Ledger, LedgerView};
 pub use metrics::SimReport;
 pub use payment::{PaymentState, PaymentStatus};
 pub use rebalancer::{RebalancePolicy, RebalanceStats};
-pub use scheduler::SchedulePolicy;
+pub use scheduler::{QueuePolicy, SchedulePolicy};
 pub use snapshot::{latest_snapshot, CheckpointSpec, Snapshot, SnapshotError};
 pub use wire::{HashLock, HopHeader, UnitPacket, WireError};

@@ -3,10 +3,24 @@
 //! Incomplete non-atomic payments are polled periodically and serviced in
 //! policy order. The paper schedules by *shortest remaining processing
 //! time* (SRPT, after pFabric \[8\]); FIFO, LIFO, and earliest-deadline-first
-//! are provided for ablations.
+//! are provided for ablations. Router queues ([`QueuePolicy`]) have their
+//! own service order.
 
 use crate::payment::PaymentState;
 use serde::{Deserialize, Serialize};
+
+/// Queue service order at routers (§4.2: "prioritize payments based on
+/// size, deadline, or routing fees").
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum QueuePolicy {
+    /// First come, first served.
+    #[default]
+    Fifo,
+    /// Smallest unit first (cheap to service, frees head-of-line).
+    SmallestFirst,
+    /// Earliest payment deadline first.
+    EarliestDeadline,
+}
 
 /// Order in which pending payments are serviced each scheduler tick.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -30,16 +30,34 @@
 //! [`latest_snapshot`] ignores.
 //!
 //! Decoding never panics. Truncated, bit-flipped, or otherwise corrupt
-//! files surface as [`SnapshotError`] values.
+//! files surface as [`SnapshotError`] values, and so do files with valid
+//! checksums whose contents name an out-of-range index.
+//!
+//! This module also holds the one state codec the three engines share: every
+//! type two or more engines capture is encoded here once, and each engine's
+//! run state is encoded and decoded directly with it.
 
+use crate::audit::LedgerAudit;
+use crate::congestion::CongestionConfig;
+use crate::events::EventQueue;
+use crate::faults::{FaultEvent, FaultPlan, FaultStateSnapshot};
+use crate::ledger::Ledger;
+use crate::payment::{PaymentState, PaymentStatus};
+use crate::rebalancer::RebalancePolicy;
+use crate::scheduler::QueuePolicy;
 use serde::{Deserialize, Serialize};
-use spider_core::{crc32, BinError, Dec, Enc, Network};
-use spider_telemetry::TelemetryState;
+use spider_core::{
+    crc32, Amount, BinError, ChannelId, Dec, Enc, Network, NodeId, Path as NetPath, PaymentId,
+};
+use spider_routing::FeeSchedule;
+use spider_telemetry::{NetworkSample, Telemetry, TelemetryState};
 use spider_workload::Transaction;
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Current snapshot format version. Bump on any layout change.
 /// v2: sharded messages carry the unit's deadline epoch, sample partials
@@ -457,7 +475,497 @@ pub fn latest_snapshot(dir: &Path) -> Result<Option<PathBuf>, SnapshotError> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared encoding helpers for the engines.
+// The state codec the engines share. Every type two or more engines capture
+// is encoded here, once; each engine adds only its own event, unit, and
+// message variants. The bytes are the SPSN v2 layout tabled in DESIGN.md:
+// any drift is a format change and must bump `FORMAT_VERSION`.
+
+/// One plain binary encoding per captured type. Decoding takes the network
+/// so every channel id, node id, and path a snapshot carries is
+/// range-checked as it is read.
+pub(crate) trait Codec: Sized {
+    /// Appends `self` to `e`.
+    fn enc(&self, e: &mut Enc);
+    /// Reads a value written by [`enc`](Self::enc).
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError>;
+}
+
+/// A structural decode failure at the decoder's current offset.
+pub(crate) fn invalid(d: &Dec, what: impl Into<String>) -> BinError {
+    BinError::Invalid {
+        offset: d.offset(),
+        what: what.into(),
+    }
+}
+
+/// A structural failure found after the bytes themselves decoded.
+pub(crate) fn corrupt(what: impl Into<String>) -> SnapshotError {
+    SnapshotError::Corrupt { what: what.into() }
+}
+
+/// Fails with [`SnapshotError::Corrupt`] unless `index < len`.
+pub(crate) fn check_index(what: &str, index: usize, len: usize) -> Result<(), SnapshotError> {
+    if index < len {
+        Ok(())
+    } else {
+        Err(corrupt(format!("{what} {index} out of range (< {len})")))
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn enc(&self, e: &mut Enc) {
+        e.opt(self.as_ref().map(|v| move |e: &mut Enc| v.enc(e)));
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        d.opt(|d| T::dec(d, net))
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn enc(&self, e: &mut Enc) {
+        e.seq(self, |e, v| v.enc(e));
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        d.seq(|d| T::dec(d, net))
+    }
+}
+
+impl<T: Codec> Codec for VecDeque<T> {
+    fn enc(&self, e: &mut Enc) {
+        e.usize(self.len());
+        for v in self {
+            v.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        Vec::dec(d, net).map(VecDeque::from)
+    }
+}
+
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    fn enc(&self, e: &mut Enc) {
+        for v in self {
+            v.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        let items = (0..N)
+            .map(|_| T::dec(d, net))
+            .collect::<Result<Vec<T>, BinError>>()?;
+        items
+            .try_into()
+            .map_err(|_| invalid(d, "fixed-size array length"))
+    }
+}
+
+macro_rules! tuple_codec {
+    ($($t:ident),+) => {
+        impl<$($t: Codec),+> Codec for ($($t,)+) {
+            #[allow(non_snake_case)]
+            fn enc(&self, e: &mut Enc) {
+                let ($($t,)+) = self;
+                $($t.enc(e);)+
+            }
+            fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+                Ok(($($t::dec(d, net)?,)+))
+            }
+        }
+    };
+}
+tuple_codec!(A, B);
+tuple_codec!(A, B, C);
+tuple_codec!(A, B, C, D);
+tuple_codec!(A, B, C, D, E);
+
+macro_rules! scalar_codec {
+    ($($t:ty => $m:ident),+) => {$(
+        impl Codec for $t {
+            fn enc(&self, e: &mut Enc) {
+                e.$m(*self);
+            }
+            fn dec(d: &mut Dec, _: &Network) -> Result<Self, BinError> {
+                d.$m()
+            }
+        }
+    )+};
+}
+scalar_codec!(u8 => u8, u32 => u32, u64 => u64, i64 => i64, usize => usize, f64 => f64, bool => bool);
+
+impl Codec for Amount {
+    fn enc(&self, e: &mut Enc) {
+        e.i64(self.micros());
+    }
+    fn dec(d: &mut Dec, _: &Network) -> Result<Self, BinError> {
+        Ok(Amount::from_micros(d.i64()?))
+    }
+}
+
+impl Codec for ChannelId {
+    fn enc(&self, e: &mut Enc) {
+        e.u32(self.0);
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        let c = ChannelId(d.u32()?);
+        if c.index() >= net.num_channels() {
+            return Err(invalid(d, format!("channel {} out of range", c.index())));
+        }
+        Ok(c)
+    }
+}
+
+impl Codec for NodeId {
+    fn enc(&self, e: &mut Enc) {
+        e.u32(self.0);
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        let n = NodeId(d.u32()?);
+        if n.index() >= net.num_nodes() {
+            return Err(invalid(d, format!("node {} out of range", n.index())));
+        }
+        Ok(n)
+    }
+}
+
+/// A path travels as its node sequence and is re-validated against the
+/// network on decode.
+impl Codec for Arc<NetPath> {
+    fn enc(&self, e: &mut Enc) {
+        e.seq(self.nodes(), |e, n| e.u32(n.0));
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        let nodes = d.seq(|d| Ok(NodeId(d.u32()?)))?;
+        NetPath::new(net, nodes)
+            .map(Arc::new)
+            .map_err(|e| invalid(d, format!("unit path: {e}")))
+    }
+}
+
+impl Codec for FaultEvent {
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            FaultEvent::ChannelDown(c) => (0u8, c.0).enc(e),
+            FaultEvent::ChannelUp(c) => (1u8, c.0).enc(e),
+            FaultEvent::NodeDown(n) => (2u8, n.0).enc(e),
+            FaultEvent::NodeUp(n) => (3u8, n.0).enc(e),
+        }
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        match d.u8()? {
+            0 => Ok(FaultEvent::ChannelDown(ChannelId::dec(d, net)?)),
+            1 => Ok(FaultEvent::ChannelUp(ChannelId::dec(d, net)?)),
+            2 => Ok(FaultEvent::NodeDown(NodeId::dec(d, net)?)),
+            3 => Ok(FaultEvent::NodeUp(NodeId::dec(d, net)?)),
+            other => Err(invalid(d, format!("fault event tag {other}"))),
+        }
+    }
+}
+
+impl Codec for FaultStateSnapshot {
+    fn enc(&self, e: &mut Enc) {
+        e.bytes(&self.down_causes);
+        self.node_down.enc(e);
+        e.u64(self.rng_state);
+        enc_json(e, &self.stats);
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        Ok(FaultStateSnapshot {
+            down_causes: d.bytes()?.to_vec(),
+            node_down: Vec::dec(d, net)?,
+            rng_state: d.u64()?,
+            stats: dec_json(d)?,
+        })
+    }
+}
+
+impl Codec for PaymentStatus {
+    fn enc(&self, e: &mut Enc) {
+        e.u8(match self {
+            PaymentStatus::Pending => 0,
+            PaymentStatus::Completed => 1,
+            PaymentStatus::Abandoned => 2,
+        });
+    }
+    fn dec(d: &mut Dec, _: &Network) -> Result<Self, BinError> {
+        match d.u8()? {
+            0 => Ok(PaymentStatus::Pending),
+            1 => Ok(PaymentStatus::Completed),
+            2 => Ok(PaymentStatus::Abandoned),
+            other => Err(invalid(d, format!("payment status byte {other}"))),
+        }
+    }
+}
+
+impl Codec for PaymentState {
+    fn enc(&self, e: &mut Enc) {
+        e.u64(self.id.0);
+        (self.src, self.dst, self.amount).enc(e);
+        (self.arrival, self.deadline, self.delivered, self.inflight).enc(e);
+        (self.status, self.completed_at).enc(e);
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        Ok(PaymentState {
+            id: PaymentId(d.u64()?),
+            src: NodeId::dec(d, net)?,
+            dst: NodeId::dec(d, net)?,
+            amount: Amount::dec(d, net)?,
+            arrival: d.f64()?,
+            deadline: d.f64()?,
+            delivered: Amount::dec(d, net)?,
+            inflight: Amount::dec(d, net)?,
+            status: PaymentStatus::dec(d, net)?,
+            completed_at: Option::dec(d, net)?,
+        })
+    }
+}
+
+impl Codec for NetworkSample {
+    fn enc(&self, e: &mut Enc) {
+        (self.t, self.mean_imbalance, self.total_inflight).enc(e);
+        (self.pending, self.max_queue_depth).enc(e);
+    }
+    fn dec(d: &mut Dec, _: &Network) -> Result<Self, BinError> {
+        Ok(NetworkSample {
+            t: d.f64()?,
+            mean_imbalance: d.f64()?,
+            total_inflight: d.f64()?,
+            pending: d.u32()?,
+            max_queue_depth: d.u32()?,
+        })
+    }
+}
+
+/// The auditor travels as its JSON [`AuditState`](crate::audit::AuditState).
+impl Codec for LedgerAudit {
+    fn enc(&self, e: &mut Enc) {
+        enc_json(e, &self.export_state());
+    }
+    fn dec(d: &mut Dec, _: &Network) -> Result<Self, BinError> {
+        Ok(LedgerAudit::from_state(dec_json(d)?))
+    }
+}
+
+/// Event-queue entries in exact pop order with their original sequence
+/// numbers, then the next sequence number: re-pushing them restores an
+/// identical drain order.
+impl<E: Codec> Codec for EventQueue<E> {
+    fn enc(&self, e: &mut Enc) {
+        let entries = self.entries();
+        e.usize(entries.len());
+        for (t, seq, event) in entries {
+            (t, seq).enc(e);
+            event.enc(e);
+        }
+        e.u64(self.next_seq());
+    }
+    fn dec(d: &mut Dec, net: &Network) -> Result<Self, BinError> {
+        let mut queue = EventQueue::new();
+        let n = d.usize()?;
+        for _ in 0..n {
+            let t = d.f64()?;
+            if !t.is_finite() {
+                return Err(invalid(d, format!("non-finite event time {t}")));
+            }
+            let seq = d.u64()?;
+            queue.push_with_seq(t, seq, E::dec(d, net)?);
+        }
+        queue.set_next_seq(d.u64()?);
+        Ok(queue)
+    }
+}
+
+/// Ledger slots: the channel count, then per channel the four raw ledger
+/// words followed by whatever `extra` writes for that channel.
+pub(crate) fn enc_ledger(e: &mut Enc, ledger: &Ledger, mut extra: impl FnMut(&mut Enc, usize)) {
+    e.usize(ledger.num_channels());
+    for i in 0..ledger.num_channels() {
+        ledger.export_channel(ChannelId::from(i)).enc(e);
+        extra(e, i);
+    }
+}
+
+/// Decodes ledger slots written by [`enc_ledger`] into a ledger for
+/// `network`, rejecting a channel count that does not match it.
+pub(crate) fn dec_ledger(
+    d: &mut Dec,
+    network: &Network,
+    mut extra: impl FnMut(&mut Dec, usize) -> Result<(), BinError>,
+) -> Result<Ledger, SnapshotError> {
+    let n = d.usize()?;
+    if n != network.num_channels() {
+        return Err(corrupt(format!(
+            "snapshot has {n} channels, network has {}",
+            network.num_channels()
+        )));
+    }
+    let mut ledger = Ledger::new(network);
+    for i in 0..n {
+        ledger.restore_channel(ChannelId::from(i), Codec::dec(d, network)?);
+        extra(d, i)?;
+    }
+    Ok(ledger)
+}
+
+/// The run state the sequential and router-queue engines share, encoded as
+/// the prefix (progress ticks, ledger slots, event queue, payments, pending
+/// indices) and suffix (network samples, next sample time) of their
+/// `SEC_CORE` sections.
+pub(crate) struct EventCore<E> {
+    /// Scheduler ticks processed so far (checkpoint cadence).
+    pub ticks: u64,
+    /// Live channel balances.
+    pub ledger: Ledger,
+    /// Pending events.
+    pub queue: EventQueue<E>,
+    /// Every payment that has arrived, in arrival order.
+    pub payments: Vec<PaymentState>,
+    /// Indices of still-pending payments.
+    pub pending: Vec<usize>,
+    /// Aggregate telemetry samples.
+    pub network_series: Vec<NetworkSample>,
+    /// When the next telemetry sample is due. Samples piggyback on ticks;
+    /// no events of their own are queued, so `(time, sequence)` order is
+    /// untouched.
+    pub next_sample: f64,
+}
+
+impl<E: Codec> EventCore<E> {
+    /// A fresh run's state, with nothing yet queued; the first telemetry
+    /// sample is due one sampling interval in.
+    pub fn new(network: &Network, telemetry: &Telemetry) -> Self {
+        EventCore {
+            ticks: 0,
+            ledger: Ledger::new(network),
+            queue: EventQueue::new(),
+            payments: Vec::new(),
+            pending: Vec::new(),
+            network_series: Vec::new(),
+            next_sample: telemetry.sample_interval().unwrap_or(f64::INFINITY),
+        }
+    }
+
+    /// Writes the shared `SEC_CORE` prefix.
+    pub fn enc_prefix(&self, e: &mut Enc) {
+        e.u64(self.ticks);
+        enc_ledger(e, &self.ledger, |_, _| {});
+        self.queue.enc(e);
+        self.payments.enc(e);
+        self.pending.enc(e);
+    }
+
+    /// Writes the shared `SEC_CORE` suffix.
+    pub fn enc_suffix(&self, e: &mut Enc) {
+        self.network_series.enc(e);
+        e.f64(self.next_sample);
+    }
+
+    /// Reads the prefix written by [`enc_prefix`](Self::enc_prefix); the
+    /// suffix fields stay empty until [`dec_suffix`](Self::dec_suffix).
+    pub fn dec_prefix(d: &mut Dec, network: &Network) -> Result<Self, SnapshotError> {
+        let ticks = d.u64()?;
+        let ledger = dec_ledger(d, network, |_, _| Ok(()))?;
+        let queue = EventQueue::dec(d, network)?;
+        let payments: Vec<PaymentState> = Vec::dec(d, network)?;
+        let pending: Vec<usize> = Vec::dec(d, network)?;
+        for &i in &pending {
+            check_index("pending payment", i, payments.len())?;
+        }
+        Ok(EventCore {
+            ticks,
+            ledger,
+            queue,
+            payments,
+            pending,
+            network_series: Vec::new(),
+            next_sample: f64::INFINITY,
+        })
+    }
+
+    /// Reads the suffix written by [`enc_suffix`](Self::enc_suffix).
+    pub fn dec_suffix(&mut self, d: &mut Dec, network: &Network) -> Result<(), SnapshotError> {
+        self.network_series = Vec::dec(d, network)?;
+        self.next_sample = d.f64()?;
+        Ok(())
+    }
+
+    /// Range-checks every queued event with `check`, which sees the
+    /// event and the decoded state.
+    pub fn check_events(
+        &self,
+        mut check: impl FnMut(&E) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        self.queue
+            .entries()
+            .into_iter()
+            .try_for_each(|(_, _, ev)| check(ev))
+    }
+}
+
+/// Writes an event-driven engine's snapshot into `ckpt.dir`: its
+/// `SEC_CORE` bytes, the routing scheme's state when the engine has a
+/// scheme, and the telemetry state. The counterpart of [`resume_snapshot`].
+pub(crate) fn write_event_snapshot(
+    ckpt: &CheckpointSpec,
+    engine: u8,
+    fingerprint: u32,
+    progress: u64,
+    core: Vec<u8>,
+    scheme: Option<Vec<u8>>,
+    telemetry: &Telemetry,
+) -> Result<PathBuf, SnapshotError> {
+    let mut sections = vec![(SEC_CORE, core)];
+    sections.extend(scheme.map(|bytes| (SEC_SCHEME, bytes)));
+    sections.push((SEC_TELEMETRY, encode_telemetry(&telemetry.export_state())));
+    write_snapshot(&ckpt.dir, engine, fingerprint, progress, &sections)
+}
+
+/// Opens a snapshot for resuming an event-driven engine: reads it, checks
+/// the engine tag and input fingerprint, runs `decode` on it, and finally
+/// restores the caller's telemetry handle *in place* so clones of it keep
+/// visibility into the resumed run's trace. The fingerprint already pins the
+/// enabled flag and sampling cadence, so telemetry presence must line up.
+pub(crate) fn resume_snapshot<T>(
+    path: &Path,
+    engine: u8,
+    fingerprint: u32,
+    telemetry: &Telemetry,
+    decode: impl FnOnce(&Snapshot) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let snap = read_snapshot(path)?;
+    snap.check(engine, fingerprint)?;
+    let state = decode(&snap)?;
+    match decode_telemetry(snap.section_opt(SEC_TELEMETRY).unwrap_or(&[]))? {
+        Some(ts) => telemetry
+            .restore_from_state(ts)
+            .map_err(|e| SnapshotError::Unsupported {
+                what: format!("telemetry restore: {e}"),
+            })?,
+        None if telemetry.is_enabled() => {
+            return Err(SnapshotError::Corrupt {
+                what: "snapshot lacks telemetry state for an enabled handle".to_string(),
+            })
+        }
+        None => {}
+    }
+    Ok(state)
+}
+
+/// Fails with [`SnapshotError::Corrupt`] when a snapshot's presence flag for
+/// `feature` disagrees with the resuming configuration.
+pub(crate) fn check_presence(
+    feature: &str,
+    in_snapshot: bool,
+    in_config: bool,
+) -> Result<(), SnapshotError> {
+    match (in_snapshot, in_config) {
+        (true, false) => Err(corrupt(format!(
+            "snapshot has {feature} state but the config has none"
+        ))),
+        (false, true) => Err(corrupt(format!(
+            "the config has {feature} but the snapshot has no state for it"
+        ))),
+        _ => Ok(()),
+    }
+}
 
 /// JSON-encodes `v` as a length-prefixed string (used for serde types whose
 /// floats are always finite: trace events, audit violations, fault stats).
@@ -468,18 +976,16 @@ pub(crate) fn enc_json<T: Serialize>(e: &mut Enc, v: &T) {
 }
 
 /// Decodes a value encoded by [`enc_json`].
-pub(crate) fn dec_json<T: Deserialize>(d: &mut Dec) -> Result<T, SnapshotError> {
+pub(crate) fn dec_json<T: Deserialize>(d: &mut Dec) -> Result<T, BinError> {
     let s = d.str()?;
-    serde_json::from_str(&s).map_err(|e| SnapshotError::Corrupt {
-        what: format!("embedded JSON: {e}"),
-    })
+    serde_json::from_str(&s).map_err(|e| invalid(d, format!("embedded JSON: {e}")))
 }
 
 /// Encodes an optional telemetry state; `None` (telemetry disabled) encodes
 /// as an empty section. Float-valued registry fields (histogram extrema are
 /// `±INFINITY` when empty) travel as raw bits; the event buffer is JSON
 /// (trace-event floats are always finite simulation times).
-pub(crate) fn encode_telemetry(state: &Option<TelemetryState>) -> Vec<u8> {
+fn encode_telemetry(state: &Option<TelemetryState>) -> Vec<u8> {
     let Some(s) = state else {
         return Vec::new();
     };
@@ -511,7 +1017,7 @@ pub(crate) fn encode_telemetry(state: &Option<TelemetryState>) -> Vec<u8> {
 }
 
 /// Decodes a telemetry section written by [`encode_telemetry`].
-pub(crate) fn decode_telemetry(bytes: &[u8]) -> Result<Option<TelemetryState>, SnapshotError> {
+fn decode_telemetry(bytes: &[u8]) -> Result<Option<TelemetryState>, SnapshotError> {
     if bytes.is_empty() {
         return Ok(None);
     }
@@ -552,6 +1058,10 @@ pub(crate) fn decode_telemetry(bytes: &[u8]) -> Result<Option<TelemetryState>, S
     }))
 }
 
+// ---------------------------------------------------------------------------
+// Input fingerprints. Each engine feeds the shared inputs and then its config
+// fields, calling the feature blocks below in its own fixed order.
+
 /// Feeds the shared simulation inputs — network shape and the transaction
 /// trace — into a fingerprint encoder. Engines append their own config
 /// fields and hash the result with [`crc32`].
@@ -571,6 +1081,69 @@ pub(crate) fn enc_inputs(e: &mut Enc, network: &Network, transactions: &[Transac
         e.u32(tx.dst.0);
         e.i64(tx.amount.micros());
         e.f64(tx.arrival);
+    }
+}
+
+/// A config feature block in an input fingerprint. An optional feature is
+/// its presence byte followed, when present, by its parameters.
+pub(crate) trait Fingerprint {
+    /// Appends this feature's fingerprint bytes.
+    fn fingerprint(&self, e: &mut Enc);
+}
+
+impl<T: Fingerprint> Fingerprint for Option<T> {
+    fn fingerprint(&self, e: &mut Enc) {
+        e.opt(self.as_ref().map(|v| move |e: &mut Enc| v.fingerprint(e)));
+    }
+}
+
+impl Fingerprint for FaultPlan {
+    fn fingerprint(&self, e: &mut Enc) {
+        enc_json(e, &self.config);
+        self.events.enc(e);
+    }
+}
+
+impl Fingerprint for FeeSchedule {
+    fn fingerprint(&self, e: &mut Enc) {
+        self.per_channel().enc(e);
+    }
+}
+
+impl Fingerprint for CongestionConfig {
+    fn fingerprint(&self, e: &mut Enc) {
+        (self.initial_window, self.additive_increase).enc(e);
+        (
+            self.multiplicative_decrease,
+            self.min_window,
+            self.max_window,
+        )
+            .enc(e);
+    }
+}
+
+impl Fingerprint for RebalancePolicy {
+    fn fingerprint(&self, e: &mut Enc) {
+        (self.check_interval, self.imbalance_threshold).enc(e);
+        (self.correction_fraction, self.fee, self.confirmation_delay).enc(e);
+    }
+}
+
+/// Telemetry presence and sampling cadence (`NaN` when disabled).
+impl Fingerprint for Telemetry {
+    fn fingerprint(&self, e: &mut Enc) {
+        e.bool(self.is_enabled());
+        e.f64(self.sample_interval().unwrap_or(f64::NAN));
+    }
+}
+
+impl Fingerprint for QueuePolicy {
+    fn fingerprint(&self, e: &mut Enc) {
+        e.u8(match self {
+            QueuePolicy::Fifo => 0,
+            QueuePolicy::SmallestFirst => 1,
+            QueuePolicy::EarliestDeadline => 2,
+        });
     }
 }
 

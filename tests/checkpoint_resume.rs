@@ -746,3 +746,411 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Golden snapshots. One small SPSN file per engine feature set is committed
+// under `tests/fixtures/snapshots/`; together they pin the on-disk layout.
+// Re-running a scenario must write byte-identical files, and resuming a
+// committed file must reproduce the straight run byte for byte. Regenerate
+// the files only on a deliberate `FORMAT_VERSION` bump:
+//
+//     cargo test --test checkpoint_resume -- --ignored regenerate_golden_snapshots
+
+enum GoldenEngine {
+    Seq(SimConfig),
+    Queued(QueuedConfig),
+    /// Sharded config plus the shard count.
+    Sharded(ShardedConfig, usize),
+}
+
+struct Golden {
+    name: &'static str,
+    network: Network,
+    txs: Vec<Transaction>,
+    engine: GoldenEngine,
+    /// Checkpoint cadence; the fixture is the first snapshot written.
+    every: u64,
+}
+
+fn golden_scenarios() -> Vec<Golden> {
+    let mut out = Vec::new();
+
+    let (network, txs) = isp_scenario(3, 150);
+    let mut cfg = full_config(14.0);
+    let stress = FaultConfig::scenario("stress").expect("stress scenario exists");
+    cfg.faults = Some(FaultPlan::from_config(&stress, &network, 14.0));
+    out.push(Golden {
+        name: "seq-faults",
+        network,
+        txs,
+        engine: GoldenEngine::Seq(cfg),
+        every: 10,
+    });
+
+    let (network, txs) = isp_scenario(7, 150);
+    let mut cfg = full_config(14.0);
+    cfg.congestion = Some(spider::sim::CongestionConfig::default());
+    cfg.rebalance = Some(spider::sim::RebalancePolicy::aggressive());
+    cfg.fees = Some(spider::routing::FeeSchedule::uniform(
+        &network,
+        Amount::from_micros(10),
+        100,
+    ));
+    out.push(Golden {
+        name: "seq-extras",
+        network,
+        txs,
+        engine: GoldenEngine::Seq(cfg),
+        every: 10,
+    });
+
+    let (network, txs) = isp_scenario(13, 150);
+    let mut cfg = full_config(14.0);
+    cfg.amp = true;
+    out.push(Golden {
+        name: "seq-amp",
+        network,
+        txs,
+        engine: GoldenEngine::Seq(cfg),
+        every: 10,
+    });
+
+    let (network, txs) = isp_scenario(29, 150);
+    let mut cfg = QueuedConfig::new(14.0);
+    cfg.deadline = 8.0;
+    cfg.queue_policy = spider::sim::QueuePolicy::EarliestDeadline;
+    let outages = FaultConfig::scenario("outages").expect("outages scenario exists");
+    cfg.faults = Some(FaultPlan::from_config(&outages, &network, 14.0));
+    out.push(Golden {
+        name: "queued-faults-edf",
+        network,
+        txs,
+        engine: GoldenEngine::Queued(cfg),
+        every: 8,
+    });
+
+    let (network, txs) = isp_scenario(43, 150);
+    let mut cfg = sharded_full_features_config(&network, 12.0);
+    cfg.faults = Some(FaultPlan::from_config(&stress, &network, 12.0));
+    out.push(Golden {
+        name: "sharded-full-2",
+        network,
+        txs,
+        engine: GoldenEngine::Sharded(cfg, 2),
+        every: 16,
+    });
+    out
+}
+
+impl Golden {
+    fn fixture_path(&self) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/snapshots")
+            .join(format!("{}.spsn", self.name))
+    }
+
+    fn partition(&self, shards: usize) -> spider::topology::Partition {
+        spider::topology::Partition::build(&self.network, shards, 7)
+    }
+
+    /// Runs the scenario with telemetry on, checkpointing into `dir`, and
+    /// returns the bytes of the first snapshot written.
+    fn first_snapshot(&self, dir: &Path) -> Vec<u8> {
+        let spec = CheckpointSpec::new(self.every, dir);
+        let tel = Telemetry::enabled();
+        match &self.engine {
+            GoldenEngine::Seq(config) => {
+                let mut cfg = config.clone();
+                cfg.telemetry = tel;
+                let mut scheme = WaterfillingScheme::new();
+                run_checkpointed(&self.network, &self.txs, &mut scheme, &cfg, &spec)
+                    .expect("checkpointed run");
+            }
+            GoldenEngine::Queued(config) => {
+                let mut cfg = config.clone();
+                cfg.telemetry = tel;
+                spider::sim::engine_queued::run_queued_checkpointed(
+                    &self.network,
+                    &self.txs,
+                    &cfg,
+                    &spec,
+                )
+                .expect("checkpointed run");
+            }
+            GoldenEngine::Sharded(config, shards) => {
+                let mut cfg = config.clone();
+                cfg.telemetry = tel;
+                spider::sim::engine_sharded::run_sharded_checkpointed(
+                    &self.network,
+                    &self.txs,
+                    &self.partition(*shards),
+                    &cfg,
+                    &spec,
+                )
+                .expect("checkpointed run");
+            }
+        }
+        let first = dir.join(format!("snap-{:012}.spsn", self.every));
+        std::fs::read(&first)
+            .unwrap_or_else(|e| panic!("{}: no snapshot at {}: {e}", self.name, first.display()))
+    }
+
+    /// Report JSON and trace JSONL of a straight run (`snapshot = None`) or
+    /// of a resume from `snapshot`.
+    fn report_and_trace(&self, snapshot: Option<&Path>) -> (String, String) {
+        let tel = Telemetry::enabled();
+        let json = match &self.engine {
+            GoldenEngine::Seq(config) => {
+                let mut cfg = config.clone();
+                cfg.telemetry = tel.clone();
+                let mut scheme = WaterfillingScheme::new();
+                let report = match snapshot {
+                    None => spider::sim::run(&self.network, &self.txs, &mut scheme, &cfg),
+                    Some(snap) => resume(&self.network, &self.txs, &mut scheme, &cfg, snap, None)
+                        .unwrap_or_else(|e| panic!("{}: resume failed: {e}", self.name)),
+                };
+                serde_json::to_string_pretty(&report).expect("report serializes")
+            }
+            GoldenEngine::Queued(config) => {
+                let mut cfg = config.clone();
+                cfg.telemetry = tel.clone();
+                let out = match snapshot {
+                    None => spider::sim::run_queued(&self.network, &self.txs, &cfg),
+                    Some(snap) => spider::sim::engine_queued::resume_queued(
+                        &self.network,
+                        &self.txs,
+                        &cfg,
+                        snap,
+                        None,
+                    )
+                    .unwrap_or_else(|e| panic!("{}: resume failed: {e}", self.name)),
+                };
+                serde_json::to_string_pretty(&out).expect("report serializes")
+            }
+            GoldenEngine::Sharded(config, shards) => {
+                let mut cfg = config.clone();
+                cfg.telemetry = tel.clone();
+                let partition = self.partition(*shards);
+                let report = match snapshot {
+                    None => spider::sim::run_sharded(&self.network, &self.txs, &partition, &cfg),
+                    Some(snap) => spider::sim::resume_sharded(
+                        &self.network,
+                        &self.txs,
+                        &partition,
+                        &cfg,
+                        snap,
+                        None,
+                    )
+                    .unwrap_or_else(|e| panic!("{}: resume failed: {e}", self.name)),
+                };
+                serde_json::to_string_pretty(&report).expect("report serializes")
+            }
+        };
+        (json, tel.trace_jsonl())
+    }
+}
+
+#[test]
+fn golden_snapshots_regenerate_byte_identically() {
+    for golden in golden_scenarios() {
+        let dir = TempDir::new(&format!("golden-{}", golden.name));
+        let fresh = golden.first_snapshot(dir.path());
+        let committed = std::fs::read(golden.fixture_path())
+            .unwrap_or_else(|e| panic!("{}: read fixture: {e}", golden.name));
+        assert!(
+            fresh == committed,
+            "{}: snapshot bytes drifted from the committed SPSN v2 fixture \
+             ({} bytes written, {} committed)",
+            golden.name,
+            fresh.len(),
+            committed.len()
+        );
+    }
+}
+
+#[test]
+fn golden_snapshots_resume_to_the_straight_run() {
+    for golden in golden_scenarios() {
+        let straight = golden.report_and_trace(None);
+        let resumed = golden.report_and_trace(Some(&golden.fixture_path()));
+        assert_eq!(
+            resumed.0, straight.0,
+            "{}: resumed report diverged",
+            golden.name
+        );
+        assert_eq!(
+            resumed.1, straight.1,
+            "{}: resumed trace diverged",
+            golden.name
+        );
+    }
+}
+
+#[test]
+#[ignore = "writes tests/fixtures/snapshots; run only on a FORMAT_VERSION bump"]
+fn regenerate_golden_snapshots() {
+    for golden in golden_scenarios() {
+        let dir = TempDir::new(&format!("golden-gen-{}", golden.name));
+        let bytes = golden.first_snapshot(dir.path());
+        let path = golden.fixture_path();
+        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create fixture dir");
+        std::fs::write(&path, bytes).expect("write fixture");
+    }
+}
+
+/// Byte offsets of the index-bearing values in the `SEC_CORE` prefix the
+/// sequential and queued engines share (ticks, ledger slots, event-queue
+/// entries, next sequence number, payments, pending); see the SPSN tables
+/// in DESIGN.md.
+struct CorePrefixOffsets {
+    /// The `usize` payload of the first `Arrival` entry.
+    arrival: usize,
+    /// The `usize` payload of the first entry naming a unit.
+    unit: usize,
+    /// The first pending payment index.
+    pending: usize,
+}
+
+/// Walks the shared `SEC_CORE` prefix. `payload_len(tag)` is the size of an
+/// event's payload after its tag byte and `unit_tags` lists the tags whose
+/// payload is a unit index.
+fn core_prefix_offsets(
+    core: &[u8],
+    payload_len: impl Fn(u8) -> usize,
+    unit_tags: &[u8],
+) -> CorePrefixOffsets {
+    let word =
+        |at: usize| u64::from_le_bytes(core[at..at + 8].try_into().expect("8 bytes")) as usize;
+    let channels = word(8);
+    let mut at = 16 + channels * 32;
+    let entries = word(at);
+    at += 8;
+    let (mut arrival, mut unit) = (None, None);
+    for _ in 0..entries {
+        let tag = core[at + 16];
+        if tag == 0 && arrival.is_none() {
+            arrival = Some(at + 17);
+        }
+        if unit_tags.contains(&tag) && unit.is_none() {
+            unit = Some(at + 17);
+        }
+        at += 17 + payload_len(tag);
+    }
+    at += 8; // next sequence number
+    let payments = word(at);
+    at += 8;
+    for _ in 0..payments {
+        // id, src, dst, amount, arrival, deadline, delivered, inflight,
+        // status, then an optional completion time.
+        at += 57;
+        at += if core[at] == 1 { 9 } else { 1 };
+    }
+    assert!(
+        word(at) > 0,
+        "fixture has no pending payment to tamper with"
+    );
+    CorePrefixOffsets {
+        arrival: arrival.expect("fixture has a queued arrival"),
+        unit: unit.expect("fixture has a queued unit event"),
+        pending: at + 8,
+    }
+}
+
+/// Rewrites one `usize` in a snapshot's `SEC_CORE` to an out-of-range value
+/// and re-encodes the container with valid checksums, so only the decoder's
+/// range checks can object.
+fn tamper_core(snapshot: &[u8], offset: usize, dir: &Path, label: &str) -> PathBuf {
+    use spider::sim::snapshot::{decode_snapshot, encode_snapshot, SEC_CORE};
+    let snap = decode_snapshot(snapshot).expect("fixture decodes");
+    let sections: Vec<(u32, Vec<u8>)> = snap
+        .sections
+        .iter()
+        .map(|(tag, bytes)| {
+            let mut bytes = bytes.clone();
+            if *tag == SEC_CORE {
+                bytes[offset..offset + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+            }
+            (*tag, bytes)
+        })
+        .collect();
+    let path = dir.join(format!("tampered-{label}.spsn"));
+    std::fs::write(
+        &path,
+        encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections),
+    )
+    .expect("write tampered snapshot");
+    path
+}
+
+#[test]
+fn out_of_range_snapshot_indices_are_corrupt_not_a_panic() {
+    use spider::sim::snapshot::{decode_snapshot, SEC_CORE};
+    let dir = TempDir::new("tamper");
+    for golden in golden_scenarios() {
+        let (payload_len, unit_tags): (fn(u8) -> usize, &[u8]) = match golden.engine {
+            // Arrival, Settle, FaultExpire carry a usize; Fault a tag and an
+            // id; RebalanceApply a channel.
+            GoldenEngine::Seq(_) => (
+                |tag| match tag {
+                    0..=2 => 8,
+                    3 => 5,
+                    6 => 4,
+                    _ => 0,
+                },
+                &[1, 2],
+            ),
+            // Arrival, HopArrive, SettleUnit carry a usize; Fault a tag and
+            // an id.
+            GoldenEngine::Queued(_) => (
+                |tag| match tag {
+                    0 | 2 | 3 => 8,
+                    4 => 5,
+                    _ => 0,
+                },
+                &[2, 3],
+            ),
+            GoldenEngine::Sharded(..) => continue,
+        };
+        let bytes = std::fs::read(golden.fixture_path()).expect("read fixture");
+        let snap = decode_snapshot(&bytes).expect("fixture decodes");
+        let offsets = core_prefix_offsets(
+            snap.section(SEC_CORE).expect("core section"),
+            payload_len,
+            unit_tags,
+        );
+        for (what, offset) in [
+            ("arrival", offsets.arrival),
+            ("unit", offsets.unit),
+            ("pending", offsets.pending),
+        ] {
+            let label = format!("{}-{what}", golden.name);
+            let path = tamper_core(&bytes, offset, dir.path(), &label);
+            let tel = Telemetry::enabled();
+            let result = match &golden.engine {
+                GoldenEngine::Seq(config) => {
+                    let mut cfg = config.clone();
+                    cfg.telemetry = tel;
+                    let mut scheme = WaterfillingScheme::new();
+                    resume(&golden.network, &golden.txs, &mut scheme, &cfg, &path, None).map(drop)
+                }
+                GoldenEngine::Queued(config) => {
+                    let mut cfg = config.clone();
+                    cfg.telemetry = tel;
+                    spider::sim::engine_queued::resume_queued(
+                        &golden.network,
+                        &golden.txs,
+                        &cfg,
+                        &path,
+                        None,
+                    )
+                    .map(drop)
+                }
+                GoldenEngine::Sharded(..) => unreachable!("skipped above"),
+            };
+            match result {
+                Err(SnapshotError::Corrupt { .. }) => {}
+                other => panic!("{label}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+}
