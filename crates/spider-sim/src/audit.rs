@@ -125,8 +125,25 @@ impl AuditViolation {
 
 /// Caps how many violations one run records: the first violation usually
 /// cascades into one per subsequent event, and a handful is enough to
-/// diagnose while keeping `SimReport` bounded.
-const MAX_RECORDED_VIOLATIONS: usize = 32;
+/// diagnose while keeping `SimReport` bounded. The auditor and the engines'
+/// refused-release records share the cap.
+pub(crate) const MAX_RECORDED_VIOLATIONS: usize = 32;
+
+/// Records a refused over-release (see
+/// [`AuditViolationKind::ExcessRelease`]) so it surfaces in the report even
+/// when periodic auditing is off.
+pub(crate) fn record_release(
+    violations: &mut Vec<AuditViolation>,
+    time: f64,
+    event: &str,
+    err: &CoreError,
+) {
+    if violations.len() < MAX_RECORDED_VIOLATIONS {
+        if let Some(v) = AuditViolation::from_release_error(time, event, err) {
+            violations.push(v);
+        }
+    }
+}
 
 /// The auditor. Snapshot the expected total at construction, notify it of
 /// every on-chain deposit/withdrawal, and [`check`](Self::check) after each

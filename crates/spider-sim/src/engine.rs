@@ -18,24 +18,23 @@
 //! The engine is single-threaded and completely deterministic: identical
 //! inputs produce identical runs.
 
-use crate::audit::{AuditViolation, LedgerAudit};
+use crate::audit::{record_release, AuditViolation, LedgerAudit};
 use crate::congestion::{CongestionConfig, CongestionControl};
-use crate::events::EventQueue;
 use crate::faults::{
-    Blacklist, FaultEvent, FaultPlan, FaultState, FaultStateSnapshot, FaultStats, FaultView,
-    RetryPolicy, UnitFate,
+    Blacklist, FaultEvent, FaultPlan, FaultState, FaultStateSnapshot, FaultView, RetryPolicy,
+    UnitFate,
 };
-use crate::ledger::{Ledger, LedgerView};
-use crate::metrics::SimReport;
-use crate::payment::{PaymentState, PaymentStatus};
+use crate::ledger::LedgerView;
+use crate::metrics::{running_metrics, sample_network, SimReport};
+use crate::payment::{tokens, PaymentState, PaymentStatus};
 use crate::rebalancer::{RebalancePolicy, RebalanceStats};
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{
     self, corrupt, CheckpointSpec, Codec, EventCore, Fingerprint, SnapshotError,
 };
-use spider_core::{crc32, Amount, BinError, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path};
+use spider_core::{crc32, Amount, BinError, ChannelId, Dec, Enc, Network, NodeId, Path};
 use spider_routing::{fees::FeeSchedule, RoutingScheme, SchemeKind, UnitDecision};
-use spider_telemetry::{Histogram, NetworkSample, Phase, Telemetry, TraceEvent};
+use spider_telemetry::{Phase, Telemetry, TraceEvent};
 use spider_workload::Transaction;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -247,25 +246,6 @@ enum Event {
     },
 }
 
-/// Caps engine-recorded release violations like the auditor caps its own.
-pub(crate) const MAX_RELEASE_VIOLATIONS: usize = 32;
-
-/// Records a refused over-release (see
-/// [`AuditViolationKind::ExcessRelease`](crate::audit::AuditViolationKind))
-/// so it surfaces in the report even when periodic auditing is off.
-pub(crate) fn record_release(
-    violations: &mut Vec<AuditViolation>,
-    time: f64,
-    event: &str,
-    err: &CoreError,
-) {
-    if violations.len() < MAX_RELEASE_VIOLATIONS {
-        if let Some(v) = AuditViolation::from_release_error(time, event, err) {
-            violations.push(v);
-        }
-    }
-}
-
 /// Runs one simulation of `transactions` over `network` with `scheme`.
 ///
 /// Transactions must be sorted by arrival time; arrivals after
@@ -336,7 +316,22 @@ pub fn resume(
     run_inner(network, transactions, scheme, config, Some(state), ckpt)
 }
 
-#[allow(clippy::too_many_lines)]
+/// The run's fixed inputs, shared by every handler.
+struct Env<'a> {
+    network: &'a Network,
+    transactions: &'a [Transaction],
+    config: &'a SimConfig,
+    tel: &'a Telemetry,
+    /// Packet-switched schemes send units and service a pending queue;
+    /// atomic ones deliver each payment whole at arrival or fail it.
+    packet_switched: bool,
+    ckpt: Option<&'a CheckpointSpec>,
+    /// Input fingerprint stamped on snapshots (0 when not checkpointing).
+    fp: u32,
+}
+
+/// The event loop: pops events in `(time, sequence)` order and dispatches
+/// each to its handler until the measurement window closes.
 fn run_inner(
     network: &Network,
     transactions: &[Transaction],
@@ -350,863 +345,693 @@ fn run_inner(
     if let Some(policy) = &config.rebalance {
         policy.validate();
     }
-
-    let fp = if ckpt.is_some() {
-        fingerprint(network, transactions, config, scheme.name())
-    } else {
-        0
+    let env = Env {
+        network,
+        transactions,
+        config,
+        tel: &config.telemetry,
+        packet_switched: scheme.kind() == SchemeKind::PacketSwitched,
+        ckpt,
+        fp: if ckpt.is_some() {
+            fingerprint(network, transactions, config, scheme.name())
+        } else {
+            0
+        },
     };
     // A resumed run restores the event queue (arrivals not yet processed,
     // the next tick, pending fault transitions, ...) wholesale from the
     // snapshot, so the initial pushes happen only in a fresh state.
-    let mut st = match resume {
-        Some(st) => st,
-        None => SeqState::new(network, transactions, config),
-    };
-    let packet_switched = scheme.kind() == SchemeKind::PacketSwitched;
-    let tel = &config.telemetry;
-
+    let mut st = resume.unwrap_or_else(|| SeqState::new(network, transactions, config));
     while let Some((now, event)) = st.core.queue.pop() {
         if now > config.end_time {
             break;
         }
         match event {
-            Event::Arrival(i) => {
-                let _span = tel.span_enter(Phase::RoutingDecision);
-                tel.span_sim(Phase::RoutingDecision, now);
-                tel.span_items(Phase::RoutingDecision, 1);
-                let tx = &transactions[i];
-                let idx = st.core.payments.len();
-                st.core.payments.push(PaymentState {
-                    id: tx.id,
-                    src: tx.src,
-                    dst: tx.dst,
-                    amount: tx.amount,
-                    arrival: tx.arrival,
-                    deadline: tx.arrival + config.deadline,
-                    delivered: Amount::ZERO,
-                    inflight: Amount::ZERO,
-                    status: PaymentStatus::Pending,
-                    completed_at: None,
-                });
-                if let Some(fr) = st.faults.as_mut() {
-                    fr.fail_count.push(0);
-                    fr.not_before.push(f64::NEG_INFINITY);
-                }
-                tel.counter_add("sim.payments.arrived", 1);
-                tel.emit(|| TraceEvent::PaymentArrived {
-                    t: now,
-                    payment: tx.id.0,
-                    src: tx.src.0,
-                    dst: tx.dst.0,
-                    amount: tx.amount.as_tokens(),
-                });
-                if packet_switched {
-                    tel.emit(|| TraceEvent::PaymentSplit {
-                        t: now,
-                        payment: tx.id.0,
-                        // ceil(amount / mtu) in exact micro-units.
-                        units: ((tx.amount.micros() + config.mtu.micros() - 1)
-                            / config.mtu.micros())
-                        .max(0) as u64,
-                    });
-                    st.core.pending.push(idx);
-                    st.timers.push(Reverse(Timer {
-                        time: st.core.payments[idx].deadline,
-                        payment: idx,
-                        kind: TimerKind::Deadline,
-                    }));
-                    pump_payment(
-                        network,
-                        &mut st.core.ledger,
-                        scheme,
-                        idx,
-                        &mut st.core.payments[idx],
-                        config,
-                        now,
-                        &mut st.core.queue,
-                        &mut st.units,
-                        &mut st.units_sent,
-                        st.congestion.as_mut(),
-                        st.faults.as_mut(),
-                    );
-                } else {
-                    attempt_atomic(
-                        network,
-                        &mut st.core.ledger,
-                        scheme,
-                        &mut st.core.payments[idx],
-                        idx,
-                        config,
-                        now,
-                        &mut st.core.queue,
-                        &mut st.units,
-                        &mut st.units_sent,
-                        st.faults.as_mut(),
-                        &mut st.release_violations,
-                    );
-                }
-            }
-            Event::Settle { unit } => {
-                // A fault may have refunded this unit while its settle was
-                // already scheduled.
-                if st.units[unit].resolved {
-                    continue;
-                }
-                let _span = tel.span_enter(Phase::SettleRefund);
-                tel.span_sim(Phase::SettleRefund, now);
-                tel.span_items(Phase::SettleRefund, 1);
-                let payment = st.units[unit].payment;
-                let amount = st.units[unit].amount;
-                if let Some(cc) = st.congestion.as_mut() {
-                    if packet_switched {
-                        let p = &st.core.payments[payment];
-                        cc.on_settle(p.src, p.dst);
-                    }
-                }
-                if config.amp && packet_switched {
-                    if st.core.payments[payment].status == PaymentStatus::Abandoned {
-                        // Deadline already passed: the sender withholds the
-                        // key, so this late unit bounces straight back.
-                        let res = {
-                            let u = &st.units[unit];
-                            refund_unit(
-                                network,
-                                &mut st.core.ledger,
-                                &u.path,
-                                u.amount,
-                                &u.hop_amounts,
-                            )
-                        };
-                        st.units[unit].resolved = true;
-                        match res {
-                            Ok(()) => {
-                                st.core.payments[payment].inflight -= amount;
-                                tel.counter_add("sim.units.refunded", 1);
-                                tel.emit(|| TraceEvent::UnitRefunded {
-                                    t: now,
-                                    payment: st.core.payments[payment].id.0,
-                                    amount: amount.as_tokens(),
-                                });
-                            }
-                            Err(e) => {
-                                record_release(&mut st.release_violations, now, "amp-bounce", &e)
-                            }
-                        }
-                        if let Some(a) = st.audit.as_mut() {
-                            a.check(&st.core.ledger, now, "amp-bounce");
-                        }
-                        continue;
-                    }
-                    // Withhold the key until the whole payment has arrived.
-                    if payment >= st.amp_held.len() {
-                        st.amp_held.resize_with(payment + 1, Vec::new);
-                    }
-                    st.amp_held[payment].push(unit);
-                    let arrived: Amount = st.amp_held[payment]
-                        .iter()
-                        .filter(|&&ui| !st.units[ui].resolved)
-                        .map(|&ui| st.units[ui].amount)
-                        .sum();
-                    if arrived >= st.core.payments[payment].amount
-                        && st.core.payments[payment].status == PaymentStatus::Pending
-                    {
-                        for ui in std::mem::take(&mut st.amp_held[payment]) {
-                            if st.units[ui].resolved {
-                                continue;
-                            }
-                            let res = {
-                                let u = &st.units[ui];
-                                settle_unit(
-                                    network,
-                                    &mut st.core.ledger,
-                                    &u.path,
-                                    u.amount,
-                                    &u.hop_amounts,
-                                )
-                            };
-                            st.units[ui].resolved = true;
-                            match res {
-                                Ok(fee) => {
-                                    st.routing_fees_paid += fee;
-                                    let held_amount = st.units[ui].amount;
-                                    let p = &mut st.core.payments[payment];
-                                    p.inflight -= held_amount;
-                                    p.delivered += held_amount;
-                                    tel.counter_add("sim.units.settled", 1);
-                                    tel.emit(|| TraceEvent::UnitSettled {
-                                        t: now,
-                                        payment: st.core.payments[payment].id.0,
-                                        amount: held_amount.as_tokens(),
-                                    });
-                                }
-                                Err(e) => {
-                                    record_release(&mut st.release_violations, now, "settle", &e)
-                                }
-                            }
-                        }
-                        let p = &mut st.core.payments[payment];
-                        if p.fully_delivered() {
-                            p.status = PaymentStatus::Completed;
-                            p.completed_at = Some(now);
-                            let delay = now - p.arrival;
-                            let pid = p.id.0;
-                            tel.counter_add("sim.payments.completed", 1);
-                            tel.histogram_observe(
-                                "sim.completion_delay",
-                                delay,
-                                Histogram::latency_default,
-                            );
-                            tel.emit(|| TraceEvent::PaymentCompleted {
-                                t: now,
-                                payment: pid,
-                                delay,
-                            });
-                        }
-                    }
-                } else {
-                    let res = {
-                        let u = &st.units[unit];
-                        settle_unit(
-                            network,
-                            &mut st.core.ledger,
-                            &u.path,
-                            u.amount,
-                            &u.hop_amounts,
-                        )
-                    };
-                    st.units[unit].resolved = true;
-                    match res {
-                        Ok(fee) => {
-                            st.routing_fees_paid += fee;
-                            let p = &mut st.core.payments[payment];
-                            p.inflight -= amount;
-                            p.delivered += amount;
-                            let pid = p.id.0;
-                            tel.counter_add("sim.units.settled", 1);
-                            tel.emit(|| TraceEvent::UnitSettled {
-                                t: now,
-                                payment: pid,
-                                amount: amount.as_tokens(),
-                            });
-                            if p.status == PaymentStatus::Pending && p.fully_delivered() {
-                                p.status = PaymentStatus::Completed;
-                                p.completed_at = Some(now);
-                                let delay = now - p.arrival;
-                                tel.counter_add("sim.payments.completed", 1);
-                                tel.histogram_observe(
-                                    "sim.completion_delay",
-                                    delay,
-                                    Histogram::latency_default,
-                                );
-                                tel.emit(|| TraceEvent::PaymentCompleted {
-                                    t: now,
-                                    payment: pid,
-                                    delay,
-                                });
-                            }
-                        }
-                        Err(e) => record_release(&mut st.release_violations, now, "settle", &e),
-                    }
-                }
-                if let Some(a) = st.audit.as_mut() {
-                    a.check(&st.core.ledger, now, "settle");
-                }
-            }
-            Event::FaultExpire { unit } => {
-                if st.units[unit].resolved {
-                    continue;
-                }
-                let _span = tel.span_enter(Phase::FaultProcessing);
-                tel.span_sim(Phase::FaultProcessing, now);
-                tel.span_items(Phase::FaultProcessing, 1);
-                let payment = st.units[unit].payment;
-                let amount = st.units[unit].amount;
-                let Some(fault) = st.units[unit].fault else {
-                    // FaultExpire events are only scheduled for units
-                    // created with a fate; a fateless unit has nothing to
-                    // expire.
-                    continue;
-                };
-                let res = {
-                    let u = &st.units[unit];
-                    refund_unit(
-                        network,
-                        &mut st.core.ledger,
-                        &u.path,
-                        u.amount,
-                        &u.hop_amounts,
-                    )
-                };
-                st.units[unit].resolved = true;
-                match res {
-                    Ok(()) => {
-                        st.core.payments[payment].inflight -= amount;
-                        let pid = st.core.payments[payment].id.0;
-                        let blamed = match fault {
-                            UnitFault::Dropped(c) => {
-                                tel.counter_add("sim.units.dropped", 1);
-                                tel.emit(|| TraceEvent::UnitDropped {
-                                    t: now,
-                                    payment: pid,
-                                    amount: amount.as_tokens(),
-                                    channel: c.index() as u32,
-                                });
-                                c
-                            }
-                            UnitFault::Griefed(c) => {
-                                let hold = config
-                                    .faults
-                                    .as_ref()
-                                    .map_or(0.0, |plan| plan.config.grief_hold);
-                                tel.counter_add("sim.units.griefed", 1);
-                                tel.emit(|| TraceEvent::UnitGriefed {
-                                    t: now,
-                                    payment: pid,
-                                    amount: amount.as_tokens(),
-                                    hold,
-                                });
-                                c
-                            }
-                        };
-                        tel.counter_add("sim.units.refunded", 1);
-                        tel.emit(|| TraceEvent::UnitRefunded {
-                            t: now,
-                            payment: pid,
-                            amount: amount.as_tokens(),
-                        });
-                        if let Some(fr) = st.faults.as_mut() {
-                            handle_unit_fault(
-                                payment,
-                                blamed,
-                                now,
-                                &mut st.core.payments,
-                                fr,
-                                &mut st.timers,
-                                tel,
-                                packet_switched,
-                            );
-                        }
-                    }
-                    Err(e) => record_release(&mut st.release_violations, now, "fault-expire", &e),
-                }
-                if let Some(a) = st.audit.as_mut() {
-                    a.check(&st.core.ledger, now, "fault-expire");
-                }
-            }
-            Event::Fault(ev) => {
-                let _span = tel.span_enter(Phase::FaultProcessing);
-                tel.span_sim(Phase::FaultProcessing, now);
-                tel.span_items(Phase::FaultProcessing, 1);
-                let Some(fr) = st.faults.as_mut() else {
-                    // Fault events are only scheduled when a plan is
-                    // installed.
-                    continue;
-                };
-                match &ev {
-                    FaultEvent::ChannelDown(c) => {
-                        let ch = c.index() as u32;
-                        tel.counter_add("sim.faults.outages", 1);
-                        tel.emit(|| TraceEvent::ChannelOutage {
-                            t: now,
-                            channel: ch,
-                        });
-                    }
-                    FaultEvent::ChannelUp(c) => {
-                        let ch = c.index() as u32;
-                        tel.emit(|| TraceEvent::ChannelRecovered {
-                            t: now,
-                            channel: ch,
-                        });
-                    }
-                    FaultEvent::NodeDown(n) => {
-                        let node = n.index() as u32;
-                        tel.counter_add("sim.faults.node_crashes", 1);
-                        tel.emit(|| TraceEvent::NodeCrashed { t: now, node });
-                    }
-                    FaultEvent::NodeUp(n) => {
-                        let node = n.index() as u32;
-                        tel.emit(|| TraceEvent::NodeRecovered { t: now, node });
-                    }
-                }
-                let newly = fr.state.apply(network, &ev);
-                if !newly.is_empty() {
-                    // Refund every in-flight unit whose path crosses a
-                    // channel that just went down — its HTLC can no longer
-                    // complete, so the locked funds bounce back hop by hop.
-                    for unit in st.units.iter_mut() {
-                        if unit.resolved {
-                            continue;
-                        }
-                        let blamed = unit
-                            .path
-                            .hops()
-                            .iter()
-                            .map(|&(c, _)| c)
-                            .find(|c| newly.contains(c));
-                        let Some(blamed) = blamed else { continue };
-                        let res = refund_unit(
-                            network,
-                            &mut st.core.ledger,
-                            &unit.path,
-                            unit.amount,
-                            &unit.hop_amounts,
-                        );
-                        unit.resolved = true;
-                        match res {
-                            Ok(()) => {
-                                let amount = unit.amount;
-                                let pidx = unit.payment;
-                                st.core.payments[pidx].inflight -= amount;
-                                fr.state.stats.units_refunded_by_outage += 1;
-                                let pid = st.core.payments[pidx].id.0;
-                                tel.counter_add("sim.units.refunded", 1);
-                                tel.emit(|| TraceEvent::UnitRefunded {
-                                    t: now,
-                                    payment: pid,
-                                    amount: amount.as_tokens(),
-                                });
-                                handle_unit_fault(
-                                    pidx,
-                                    blamed,
-                                    now,
-                                    &mut st.core.payments,
-                                    fr,
-                                    &mut st.timers,
-                                    tel,
-                                    packet_switched,
-                                );
-                            }
-                            Err(e) => record_release(&mut st.release_violations, now, "fault", &e),
-                        }
-                    }
-                    if let Some(a) = st.audit.as_mut() {
-                        a.check(&st.core.ledger, now, "fault");
-                    }
-                }
-            }
-            Event::Tick => {
-                let _span = tel.span_enter(Phase::QueueDrain);
-                tel.span_sim(Phase::QueueDrain, now);
-                tel.counter_add("sim.scheduler.polls", 1);
-                // Expire deadlines and fire retry timers, in (time, payment)
-                // order off the shared min-heap — O(log n) per expiry instead
-                // of a scan over every pending payment per tick.
-                while let Some(Reverse(t)) = st.timers.peek() {
-                    if t.time > now {
-                        break;
-                    }
-                    let Some(Reverse(timer)) = st.timers.pop() else {
-                        break;
-                    };
-                    let i = timer.payment;
-                    match timer.kind {
-                        TimerKind::Deadline => {
-                            let p = &mut st.core.payments[i];
-                            if p.status != PaymentStatus::Pending {
-                                continue;
-                            }
-                            p.status = PaymentStatus::Abandoned;
-                            let pid = p.id.0;
-                            let delivered = p.delivered.as_tokens();
-                            tel.counter_add("sim.payments.abandoned", 1);
-                            tel.emit(|| TraceEvent::PaymentAbandoned {
-                                t: now,
-                                payment: pid,
-                                delivered,
-                            });
-                            // AMP: the sender withholds the key; everything
-                            // the receiver was holding is refunded to the
-                            // senders.
-                            if let Some(held) = st.amp_held.get_mut(i).map(std::mem::take) {
-                                for ui in held {
-                                    if st.units[ui].resolved {
-                                        continue;
-                                    }
-                                    let res = {
-                                        let u = &st.units[ui];
-                                        refund_unit(
-                                            network,
-                                            &mut st.core.ledger,
-                                            &u.path,
-                                            u.amount,
-                                            &u.hop_amounts,
-                                        )
-                                    };
-                                    st.units[ui].resolved = true;
-                                    match res {
-                                        Ok(()) => {
-                                            let held_amount = st.units[ui].amount;
-                                            st.core.payments[i].inflight -= held_amount;
-                                            tel.counter_add("sim.units.refunded", 1);
-                                            tel.emit(|| TraceEvent::UnitRefunded {
-                                                t: now,
-                                                payment: pid,
-                                                amount: held_amount.as_tokens(),
-                                            });
-                                        }
-                                        Err(e) => record_release(
-                                            &mut st.release_violations,
-                                            now,
-                                            "deadline-refund",
-                                            &e,
-                                        ),
-                                    }
-                                }
-                                if let Some(a) = st.audit.as_mut() {
-                                    a.check(&st.core.ledger, now, "deadline-refund");
-                                }
-                            }
-                        }
-                        TimerKind::Retry => {
-                            // Backoff expired: give the payment first shot
-                            // at liquidity before the policy-ordered pump.
-                            if st.core.payments[i].status == PaymentStatus::Pending {
-                                pump_payment(
-                                    network,
-                                    &mut st.core.ledger,
-                                    scheme,
-                                    i,
-                                    &mut st.core.payments[i],
-                                    config,
-                                    now,
-                                    &mut st.core.queue,
-                                    &mut st.units,
-                                    &mut st.units_sent,
-                                    st.congestion.as_mut(),
-                                    st.faults.as_mut(),
-                                );
-                            }
-                        }
-                    }
-                }
-                st.core
-                    .pending
-                    .retain(|&i| st.core.payments[i].status == PaymentStatus::Pending);
+            Event::Arrival(i) => st.on_arrival(&env, scheme, now, i),
+            Event::Settle { unit } => st.on_settle(&env, now, unit),
+            Event::FaultExpire { unit } => st.on_fault_expire(&env, now, unit),
+            Event::Fault(ev) => st.on_fault(&env, now, &ev),
+            Event::Tick => st.on_tick(&env, scheme, now)?,
+            Event::RebalanceCheck => st.on_rebalance_check(&env, now),
+            Event::RebalanceApply { channel } => st.on_rebalance_apply(&env, now, channel),
+        }
+    }
+    Ok(st.finish(&env, scheme))
+}
 
-                if packet_switched {
-                    config.policy.order(&st.core.payments, &mut st.core.pending);
-                    let order = st.core.pending.clone();
-                    for i in order {
-                        if st.core.payments[i].status != PaymentStatus::Pending {
-                            continue;
-                        }
-                        pump_payment(
-                            network,
-                            &mut st.core.ledger,
-                            scheme,
-                            i,
-                            &mut st.core.payments[i],
-                            config,
-                            now,
-                            &mut st.core.queue,
-                            &mut st.units,
-                            &mut st.units_sent,
-                            st.congestion.as_mut(),
-                            st.faults.as_mut(),
-                        );
-                    }
-                    st.core
-                        .pending
-                        .retain(|&i| st.core.payments[i].status == PaymentStatus::Pending);
-                }
+impl SeqState {
+    /// A payment arrives: a packet-switched one joins the pending queue
+    /// with a deadline timer and sends what it can now; an atomic one is
+    /// delivered whole or fails.
+    fn on_arrival(&mut self, env: &Env, scheme: &mut dyn RoutingScheme, now: f64, i: usize) {
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::RoutingDecision);
+        tel.span_sim(Phase::RoutingDecision, now);
+        tel.span_items(Phase::RoutingDecision, 1);
+        let config = env.config;
+        let idx = self.core.payments.len();
+        self.core.payments.push(PaymentState::arrive(
+            &env.transactions[i],
+            config.deadline,
+            env.packet_switched.then_some(config.mtu),
+            now,
+            tel,
+        ));
+        if let Some(fr) = self.faults.as_mut() {
+            fr.fail_count.push(0);
+            fr.not_before.push(f64::NEG_INFINITY);
+        }
+        if env.packet_switched {
+            self.core.pending.push(idx);
+            self.timers.push(Reverse(Timer {
+                time: self.core.payments[idx].deadline,
+                payment: idx,
+                kind: TimerKind::Deadline,
+            }));
+            self.pump(env, scheme, idx, now);
+        } else {
+            self.attempt_atomic(env, scheme, idx, now);
+        }
+    }
 
-                if config.record_series {
-                    let (ratio, volume) = running_metrics(&st.core.payments);
-                    st.series.push((now, ratio, volume));
-                }
-                if now + 1e-12 >= st.core.next_sample {
-                    sample_network(
-                        network,
-                        &st.core.ledger,
-                        &st.core.payments,
-                        now,
-                        tel,
-                        &mut st.core.network_series,
-                        &|_| 0,
-                    );
-                    let interval = tel.sample_interval().unwrap_or(f64::INFINITY);
-                    while st.core.next_sample <= now + 1e-12 {
-                        st.core.next_sample += interval;
-                    }
-                }
-                let next = now + config.poll_interval;
-                if next <= config.end_time {
-                    st.core.queue.push(next, Event::Tick);
-                }
-                // Checkpoint between events: the tick (including the next-
-                // tick push above) has fully completed, so the captured
-                // state is exactly what an uninterrupted run holds here.
-                st.core.ticks += 1;
-                if let Some(ck) = ckpt {
-                    if st.core.ticks.is_multiple_of(ck.every) {
-                        snapshot::write_event_snapshot(
-                            ck,
-                            snapshot::ENGINE_SEQ,
-                            fp,
-                            st.core.ticks,
-                            st.encode(),
-                            Some(scheme.checkpoint_state().unwrap_or_default()),
-                            tel,
-                        )?;
-                    }
-                }
+    /// A unit reaches the end of its path and settles — under AMP the
+    /// receiver holds it until the whole payment has arrived.
+    fn on_settle(&mut self, env: &Env, now: f64, unit: usize) {
+        // A fault may have refunded this unit while its settle was already
+        // scheduled.
+        if self.units[unit].resolved {
+            return;
+        }
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::SettleRefund);
+        tel.span_sim(Phase::SettleRefund, now);
+        tel.span_items(Phase::SettleRefund, 1);
+        let payment = self.units[unit].payment;
+        if let Some(cc) = self.congestion.as_mut() {
+            if env.packet_switched {
+                let p = &self.core.payments[payment];
+                cc.on_settle(p.src, p.dst);
             }
-            Event::RebalanceCheck => {
-                let Some(policy) = config.rebalance.as_ref() else {
-                    // RebalanceCheck events are only seeded under a policy.
-                    continue;
-                };
-                for ch in network.channels() {
-                    if st.rebalance_pending[ch.id.index()] {
-                        continue;
-                    }
-                    let (a, b) = st.core.ledger.balances(ch.id);
-                    if policy.correction(a, b).is_some() {
-                        st.rebalance_pending[ch.id.index()] = true;
-                        st.core.queue.push(
-                            now + policy.confirmation_delay,
-                            Event::RebalanceApply { channel: ch.id },
-                        );
-                    }
-                }
-                let next = now + policy.check_interval;
-                if next <= config.end_time {
-                    st.core.queue.push(next, Event::RebalanceCheck);
-                }
+        }
+        if env.config.amp && env.packet_switched {
+            if self.core.payments[payment].status == PaymentStatus::Abandoned {
+                // Deadline already passed: the sender withholds the key, so
+                // this late unit bounces straight back.
+                self.refund_unit(env, unit, now, "amp-bounce");
+                self.check_audit(now, "amp-bounce");
+                return;
             }
-            Event::RebalanceApply { channel } => {
-                let Some(policy) = config.rebalance.as_ref() else {
-                    // RebalanceApply events descend from RebalanceCheck,
-                    // which requires a policy.
-                    continue;
-                };
-                st.rebalance_pending[channel.index()] = false;
-                // Re-evaluate at confirmation time: traffic in the interim
-                // may have (partially) healed the skew.
-                let (a, b) = st.core.ledger.balances(channel);
-                if let Some(amount) = policy.correction(a, b) {
-                    let ch = network.channel(channel);
-                    let (rich, poor) = if a >= b { (ch.a, ch.b) } else { (ch.b, ch.a) };
-                    let taken = st.core.ledger.withdraw(network, channel, rich, amount);
-                    let redeposit = taken.saturating_sub(policy.fee).max(Amount::ZERO);
-                    if let Err(e) = st.core.ledger.deposit(network, channel, poor, redeposit) {
-                        // Redepositing funds just withdrawn from this same
-                        // channel cannot overflow its capacity; count and
-                        // skip rather than corrupt the ledger if it does.
-                        debug_assert!(false, "rebalance redeposit refused: {e}");
-                        tel.counter_add("sim.rebalance.deposit_failed", 1);
-                        continue;
-                    }
-                    let fee_paid = taken.saturating_sub(redeposit);
-                    st.rebalance_stats.transactions += 1;
-                    st.rebalance_stats.moved_volume += taken.as_tokens();
-                    st.rebalance_stats.fees_paid += fee_paid.as_tokens();
-                    tel.counter_add("sim.rebalance.applied", 1);
-                    tel.emit(|| TraceEvent::RebalanceApplied {
-                        t: now,
-                        channel: channel.index() as u32,
-                        moved: taken.as_tokens(),
-                        fee: fee_paid.as_tokens(),
-                    });
-                    if let Some(a) = st.audit.as_mut() {
-                        a.on_withdraw(taken);
-                        a.on_deposit(redeposit);
-                        a.check(&st.core.ledger, now, "rebalance");
-                    }
-                }
+            self.amp_hold(env, payment, unit, now);
+        } else if let Some(amount) = self.release(env.network, unit, true, now, "settle") {
+            self.core.payments[payment].settle(amount, now, tel);
+        }
+        self.check_audit(now, "settle");
+    }
+
+    /// AMP: the receiver holds `unit` and withholds every key until the
+    /// whole payment has arrived, then settles all held units at once.
+    fn amp_hold(&mut self, env: &Env, payment: usize, unit: usize, now: f64) {
+        if payment >= self.amp_held.len() {
+            self.amp_held.resize_with(payment + 1, Vec::new);
+        }
+        self.amp_held[payment].push(unit);
+        let units = &self.units;
+        let arrived: Amount = self.amp_held[payment]
+            .iter()
+            .filter(|&&ui| !units[ui].resolved)
+            .map(|&ui| units[ui].amount)
+            .sum();
+        let p = &self.core.payments[payment];
+        if arrived < p.amount || p.status != PaymentStatus::Pending {
+            return;
+        }
+        for ui in std::mem::take(&mut self.amp_held[payment]) {
+            if self.units[ui].resolved {
+                continue;
+            }
+            if let Some(amount) = self.release(env.network, ui, true, now, "settle") {
+                self.core.payments[payment].settle(amount, now, env.tel);
             }
         }
     }
 
-    debug_assert!(
-        st.core.ledger.conserves_all(),
-        "st.core.ledger must conserve funds"
-    );
-    if let Some(a) = st.audit.as_mut() {
-        a.check(&st.core.ledger, config.end_time, "final");
-    }
-    for (name, value) in scheme.telemetry_stats() {
-        tel.counter_add(name, value);
-    }
-    Ok(build_report(
-        scheme,
-        config,
-        &st.core.payments,
-        &st.core.ledger,
-        st.units_sent,
-        st.series,
-        st.rebalance_stats,
-        st.routing_fees_paid,
-        st.audit,
-        st.core.network_series,
-        st.faults.map(|fr| fr.state.stats),
-        st.release_violations,
-    ))
-}
-
-/// Sender-side reaction to one failed unit: without a retry policy the
-/// payment is abandoned on its first fault failure; with one, the blamed
-/// channel is blacklisted, the payment backs off exponentially, and a retry
-/// timer is scheduled — until the per-payment attempt budget runs out.
-#[allow(clippy::too_many_arguments)]
-fn handle_unit_fault(
-    pidx: usize,
-    blamed: ChannelId,
-    now: f64,
-    payments: &mut [PaymentState],
-    fr: &mut FaultRuntime,
-    timers: &mut BinaryHeap<Reverse<Timer>>,
-    tel: &Telemetry,
-    packet_switched: bool,
-) {
-    let p = &mut payments[pidx];
-    if p.status != PaymentStatus::Pending {
-        return;
-    }
-    let abandon = |p: &mut PaymentState, fr: &mut FaultRuntime| {
-        p.status = PaymentStatus::Abandoned;
-        fr.state.stats.payments_failed += 1;
-        let pid = p.id.0;
-        let delivered = p.delivered.as_tokens();
-        tel.counter_add("sim.payments.abandoned", 1);
-        tel.emit(|| TraceEvent::PaymentAbandoned {
-            t: now,
-            payment: pid,
-            delivered,
-        });
-    };
-    // Atomic senders have no unit-level retry machinery: the payment's
-    // all-or-nothing guarantee is already broken, so it fails outright.
-    if !packet_switched {
-        abandon(p, fr);
-        return;
-    }
-    let Some(policy) = fr.retry.clone() else {
-        // Retries disabled: first fault failure is fatal.
-        abandon(p, fr);
-        return;
-    };
-    let until = now + policy.blacklist_duration;
-    fr.blacklist.block(blamed, until);
-    fr.state.stats.blacklistings += 1;
-    tel.emit(|| TraceEvent::ChannelBlacklisted {
-        t: now,
-        channel: blamed.index() as u32,
-        until,
-    });
-    fr.fail_count[pidx] += 1;
-    let fails = fr.fail_count[pidx];
-    if fails > policy.max_attempts {
-        abandon(p, fr);
-        return;
-    }
-    let backoff = policy.backoff_base * policy.backoff_mult.powi(fails as i32 - 1);
-    fr.not_before[pidx] = fr.not_before[pidx].max(now + backoff);
-    timers.push(Reverse(Timer {
-        time: now + backoff,
-        payment: pidx,
-        kind: TimerKind::Retry,
-    }));
-    fr.state.stats.retries += 1;
-    let pid = p.id.0;
-    tel.counter_add("sim.payments.retries", 1);
-    tel.emit(|| TraceEvent::PaymentRetry {
-        t: now,
-        payment: pid,
-        attempt: fails,
-        backoff,
-    });
-}
-
-/// Emits one `ChannelSample` per channel plus one aggregate
-/// [`NetworkSample`], piggybacked on an existing scheduler tick — sampling
-/// never queues events of its own, so the `(time, sequence)` order of the
-/// simulation is identical with telemetry on or off.
-pub(crate) fn sample_network(
-    network: &Network,
-    ledger: &Ledger,
-    payments: &[PaymentState],
-    now: f64,
-    telemetry: &Telemetry,
-    series: &mut Vec<NetworkSample>,
-    queue_depth: &dyn Fn(spider_core::ChannelId) -> u32,
-) {
-    let mut max_depth: u32 = 0;
-    for ch in network.channels() {
-        let (a, b) = ledger.balances(ch.id);
-        let total = (a + b).as_tokens();
-        let imbalance = if total > 0.0 {
-            (a.as_tokens() - b.as_tokens()).abs() / total
-        } else {
-            0.0
+    /// A dropped or griefed unit's failure becomes visible to the sender:
+    /// its locked funds are refunded and the sender reacts.
+    fn on_fault_expire(&mut self, env: &Env, now: f64, unit: usize) {
+        if self.units[unit].resolved {
+            return;
+        }
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::FaultProcessing);
+        tel.span_sim(Phase::FaultProcessing, now);
+        tel.span_items(Phase::FaultProcessing, 1);
+        let payment = self.units[unit].payment;
+        let Some(fault) = self.units[unit].fault else {
+            // FaultExpire events are only scheduled for units created with
+            // a fate; a fateless unit has nothing to expire.
+            return;
         };
-        let depth = queue_depth(ch.id);
-        max_depth = max_depth.max(depth);
-        let inflight = ledger.inflight(ch.id).as_tokens();
-        telemetry.emit(|| TraceEvent::ChannelSample {
+        if let Some(amount) = self.release(env.network, unit, false, now, "fault-expire") {
+            let pid = self.core.payments[payment].id.0;
+            let blamed = match fault {
+                UnitFault::Dropped(c) => {
+                    tel.emit(|| TraceEvent::UnitDropped {
+                        t: now,
+                        payment: pid,
+                        amount: tokens(amount),
+                        channel: c.index() as u32,
+                    });
+                    c
+                }
+                UnitFault::Griefed(c) => {
+                    let hold = env
+                        .config
+                        .faults
+                        .as_ref()
+                        .map_or(0.0, |plan| plan.config.grief_hold);
+                    tel.emit(|| TraceEvent::UnitGriefed {
+                        t: now,
+                        payment: pid,
+                        amount: tokens(amount),
+                        hold,
+                    });
+                    c
+                }
+            };
+            self.core.payments[payment].refund(amount, now, tel);
+            self.unit_failed(env, payment, blamed, now);
+        }
+        self.check_audit(now, "fault-expire");
+    }
+
+    /// A scheduled fault transition from the [`FaultPlan`]: refund every
+    /// in-flight unit whose path crosses a channel that just went down.
+    fn on_fault(&mut self, env: &Env, now: f64, ev: &FaultEvent) {
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::FaultProcessing);
+        tel.span_sim(Phase::FaultProcessing, now);
+        tel.span_items(Phase::FaultProcessing, 1);
+        let Some(fr) = self.faults.as_mut() else {
+            // Fault events are only scheduled when a plan is installed.
+            return;
+        };
+        tel.emit(|| ev.trace_event(now));
+        let newly = fr.state.apply(env.network, ev);
+        if newly.is_empty() {
+            return;
+        }
+        // A unit crossing a downed channel can no longer complete its HTLC,
+        // so its locked funds bounce back hop by hop.
+        for ui in 0..self.units.len() {
+            let unit = &self.units[ui];
+            if unit.resolved {
+                continue;
+            }
+            let blamed = unit
+                .path
+                .hops()
+                .iter()
+                .map(|&(c, _)| c)
+                .find(|c| newly.contains(c));
+            let Some(blamed) = blamed else { continue };
+            let Some(pidx) = self.refund_unit(env, ui, now, "fault") else {
+                continue;
+            };
+            if let Some(fr) = self.faults.as_mut() {
+                fr.state.stats.units_refunded_by_outage += 1;
+            }
+            self.unit_failed(env, pidx, blamed, now);
+        }
+        self.check_audit(now, "fault");
+    }
+
+    /// A scheduler tick: fire due deadline and retry timers, pump every
+    /// pending payment in policy order, sample, and checkpoint on cadence.
+    fn on_tick(
+        &mut self,
+        env: &Env,
+        scheme: &mut dyn RoutingScheme,
+        now: f64,
+    ) -> Result<(), SnapshotError> {
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::QueueDrain);
+        tel.span_sim(Phase::QueueDrain, now);
+        tel.counter_add("sim.scheduler.polls", 1);
+        // Expire deadlines and fire retry timers, in (time, payment) order
+        // off the shared min-heap — O(log n) per expiry instead of a scan
+        // over every pending payment per tick.
+        while self.timers.peek().is_some_and(|Reverse(t)| t.time <= now) {
+            let Some(Reverse(timer)) = self.timers.pop() else {
+                break;
+            };
+            let i = timer.payment;
+            if self.core.payments[i].status != PaymentStatus::Pending {
+                continue;
+            }
+            match timer.kind {
+                TimerKind::Deadline => self.on_deadline(env, i, now),
+                // Backoff expired: give the payment first shot at liquidity
+                // before the policy-ordered pump.
+                TimerKind::Retry => self.pump(env, scheme, i, now),
+            }
+        }
+        self.core.retain_pending();
+        if env.packet_switched {
+            env.config
+                .policy
+                .order(&self.core.payments, &mut self.core.pending);
+            for i in self.core.pending.clone() {
+                if self.core.payments[i].status == PaymentStatus::Pending {
+                    self.pump(env, scheme, i, now);
+                }
+            }
+            self.core.retain_pending();
+        }
+        if env.config.record_series {
+            let (ratio, volume) = running_metrics(&self.core.payments);
+            self.series.push((now, ratio, volume));
+        }
+        sample_network(&mut self.core, env.network, now, tel, &|_| 0);
+        let next = now + env.config.poll_interval;
+        if next <= env.config.end_time {
+            self.core.queue.push(next, Event::Tick);
+        }
+        // Checkpoint between events: the tick (including the next-tick push
+        // above) has fully completed, so the captured state is exactly what
+        // an uninterrupted run holds here.
+        self.core.ticks += 1;
+        if let Some(ck) = env.ckpt {
+            if self.core.ticks.is_multiple_of(ck.every) {
+                snapshot::write_event_snapshot(
+                    ck,
+                    snapshot::ENGINE_SEQ,
+                    env.fp,
+                    self.core.ticks,
+                    self.encode(),
+                    Some(scheme.checkpoint_state().unwrap_or_default()),
+                    tel,
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A pending payment's deadline passed: abandon it. Under AMP the
+    /// sender withholds the key, so everything the receiver was holding is
+    /// refunded.
+    fn on_deadline(&mut self, env: &Env, i: usize, now: f64) {
+        self.core.payments[i].abandon(now, env.tel);
+        let Some(held) = self.amp_held.get_mut(i).map(std::mem::take) else {
+            return;
+        };
+        for ui in held {
+            if !self.units[ui].resolved {
+                self.refund_unit(env, ui, now, "deadline-refund");
+            }
+        }
+        self.check_audit(now, "deadline-refund");
+    }
+
+    /// Routers inspect channel skew and submit on-chain corrections.
+    fn on_rebalance_check(&mut self, env: &Env, now: f64) {
+        let Some(policy) = env.config.rebalance.as_ref() else {
+            // RebalanceCheck events are only seeded under a policy.
+            return;
+        };
+        for ch in env.network.channels() {
+            if self.rebalance_pending[ch.id.index()] {
+                continue;
+            }
+            let (a, b) = self.core.ledger.balances(ch.id);
+            if policy.correction(a, b).is_some() {
+                self.rebalance_pending[ch.id.index()] = true;
+                self.core.queue.push(
+                    now + policy.confirmation_delay,
+                    Event::RebalanceApply { channel: ch.id },
+                );
+            }
+        }
+        let next = now + policy.check_interval;
+        if next <= env.config.end_time {
+            self.core.queue.push(next, Event::RebalanceCheck);
+        }
+    }
+
+    /// A submitted on-chain rebalancing transaction confirms.
+    fn on_rebalance_apply(&mut self, env: &Env, now: f64, channel: ChannelId) {
+        let Some(policy) = env.config.rebalance.as_ref() else {
+            // RebalanceApply events descend from RebalanceCheck, which
+            // requires a policy.
+            return;
+        };
+        self.rebalance_pending[channel.index()] = false;
+        // Re-evaluate at confirmation time: traffic in the interim may have
+        // (partially) healed the skew.
+        let (a, b) = self.core.ledger.balances(channel);
+        let Some(amount) = policy.correction(a, b) else {
+            return;
+        };
+        let network = env.network;
+        let ch = network.channel(channel);
+        let (rich, poor) = if a >= b { (ch.a, ch.b) } else { (ch.b, ch.a) };
+        let ledger = &mut self.core.ledger;
+        let taken = ledger.withdraw(network, channel, rich, amount);
+        let redeposit = taken.saturating_sub(policy.fee).max(Amount::ZERO);
+        if let Err(e) = ledger.deposit(network, channel, poor, redeposit) {
+            // Redepositing funds just withdrawn from this same channel
+            // cannot overflow its capacity; count and skip rather than
+            // corrupt the ledger if it does.
+            debug_assert!(false, "rebalance redeposit refused: {e}");
+            env.tel.counter_add("sim.rebalance.deposit_failed", 1);
+            return;
+        }
+        let fee_paid = taken.saturating_sub(redeposit);
+        let stats = &mut self.rebalance_stats;
+        stats.transactions += 1;
+        stats.moved_volume += tokens(taken);
+        stats.fees_paid += tokens(fee_paid);
+        env.tel.emit(|| TraceEvent::RebalanceApplied {
             t: now,
-            channel: ch.id.index() as u32,
-            imbalance,
-            inflight,
-            queue_depth: depth,
+            channel: channel.index() as u32,
+            moved: tokens(taken),
+            fee: tokens(fee_paid),
+        });
+        if let Some(a) = self.audit.as_mut() {
+            a.on_withdraw(taken);
+            a.on_deposit(redeposit);
+            a.check(&self.core.ledger, now, "rebalance");
+        }
+    }
+
+    /// Closes the run: the final audit, the scheme's counters, and the
+    /// report.
+    fn finish(mut self, env: &Env, scheme: &dyn RoutingScheme) -> SimReport {
+        debug_assert!(
+            self.core.ledger.conserves_all(),
+            "the ledger must conserve funds"
+        );
+        self.check_audit(env.config.end_time, "final");
+        for (name, value) in scheme.telemetry_stats() {
+            env.tel.counter_add(name, value);
+        }
+        let audit_checks = self.audit.as_ref().map_or(0, LedgerAudit::checks);
+        let mut audit_violations = self
+            .audit
+            .map_or_else(Vec::new, LedgerAudit::into_violations);
+        audit_violations.extend(self.release_violations);
+        let policy = if env.packet_switched {
+            env.config.policy.name()
+        } else {
+            "atomic"
+        };
+        SimReport {
+            rebalance: self.rebalance_stats,
+            routing_fees_paid: tokens(self.routing_fees_paid),
+            series: self.series,
+            audit_checks,
+            audit_violations,
+            faults: self.faults.map(|fr| fr.state.stats),
+            ..SimReport::from_run(
+                scheme.name().to_string(),
+                policy.to_string(),
+                self.core,
+                self.units_sent,
+                env.tel,
+            )
+        }
+    }
+
+    /// Checks the ledger after a balance-mutating `event`, when auditing.
+    fn check_audit(&mut self, now: f64, event: &str) {
+        if let Some(a) = self.audit.as_mut() {
+            a.check(&self.core.ledger, now, event);
+        }
+    }
+
+    /// Releases unit `ui`'s locks — settling them at the receiver (the
+    /// sender pays the unit's fees) or refunding them to the sender — and
+    /// marks it resolved. Returns the unit's amount, or records a refused
+    /// over-release under `event` and returns `None`.
+    fn release(
+        &mut self,
+        network: &Network,
+        ui: usize,
+        settle: bool,
+        now: f64,
+        event: &str,
+    ) -> Option<Amount> {
+        let u = &mut self.units[ui];
+        u.resolved = true;
+        let ledger = &mut self.core.ledger;
+        let released = match (&u.hop_amounts, settle) {
+            (Some(amounts), true) => ledger
+                .settle_path_amounts(network, &u.path, amounts)
+                .map(|()| amounts[0].saturating_sub(u.amount)),
+            (None, true) => ledger
+                .settle_path(network, &u.path, u.amount)
+                .map(|()| Amount::ZERO),
+            (Some(amounts), false) => ledger
+                .refund_path_amounts(network, &u.path, amounts)
+                .map(|()| Amount::ZERO),
+            (None, false) => ledger
+                .refund_path(network, &u.path, u.amount)
+                .map(|()| Amount::ZERO),
+        };
+        match released {
+            Ok(fee) => {
+                self.routing_fees_paid = self.routing_fees_paid.saturating_add(fee);
+                Some(u.amount)
+            }
+            Err(e) => {
+                record_release(&mut self.release_violations, now, event, &e);
+                None
+            }
+        }
+    }
+
+    /// Refunds unit `ui` to its sender; returns its payment slot when the
+    /// refund went through.
+    fn refund_unit(&mut self, env: &Env, ui: usize, now: f64, event: &str) -> Option<usize> {
+        let amount = self.release(env.network, ui, false, now, event)?;
+        let pidx = self.units[ui].payment;
+        self.core.payments[pidx].refund(amount, now, env.tel);
+        Some(pidx)
+    }
+
+    /// Sender-side reaction to one failed unit under fault injection:
+    /// without a retry policy the payment is abandoned on its first fault
+    /// failure; with one, the blamed channel is blacklisted, the payment
+    /// backs off exponentially, and a retry timer is scheduled — until the
+    /// per-payment attempt budget runs out.
+    fn unit_failed(&mut self, env: &Env, pidx: usize, blamed: ChannelId, now: f64) {
+        let Some(fr) = self.faults.as_mut() else {
+            return;
+        };
+        let p = &mut self.core.payments[pidx];
+        if p.status != PaymentStatus::Pending {
+            return;
+        }
+        let tel = env.tel;
+        let fail = |p: &mut PaymentState, fr: &mut FaultRuntime| {
+            p.abandon(now, tel);
+            fr.state.stats.payments_failed += 1;
+        };
+        let policy = match fr.retry.clone() {
+            Some(policy) if env.packet_switched => policy,
+            // Atomic senders have no unit-level retry machinery: the
+            // payment's all-or-nothing guarantee is already broken, so it
+            // fails outright — as does any payment with retries disabled.
+            _ => return fail(p, fr),
+        };
+        let until = now + policy.blacklist_duration;
+        fr.blacklist.block(blamed, until);
+        fr.state.stats.blacklistings += 1;
+        tel.emit(|| TraceEvent::ChannelBlacklisted {
+            t: now,
+            channel: blamed.index() as u32,
+            until,
+        });
+        fr.fail_count[pidx] += 1;
+        let fails = fr.fail_count[pidx];
+        if fails > policy.max_attempts {
+            return fail(p, fr);
+        }
+        let backoff = policy.backoff_base * policy.backoff_mult.powi(fails as i32 - 1);
+        fr.not_before[pidx] = fr.not_before[pidx].max(now + backoff);
+        self.timers.push(Reverse(Timer {
+            time: now + backoff,
+            payment: pidx,
+            kind: TimerKind::Retry,
+        }));
+        fr.state.stats.retries += 1;
+        tel.emit(|| TraceEvent::PaymentRetry {
+            t: now,
+            payment: p.id.0,
+            attempt: fails,
+            backoff,
         });
     }
-    let pending = payments
-        .iter()
-        .filter(|p| p.status == PaymentStatus::Pending)
-        .count() as u32;
-    series.push(NetworkSample {
-        t: now,
-        mean_imbalance: ledger.mean_imbalance(),
-        total_inflight: ledger.total_inflight().as_tokens(),
-        pending,
-        max_queue_depth: max_depth,
-    });
-}
 
-/// Sends as many transaction units of one pending payment as the scheme and
-/// balances allow right now. Under fault injection the scheme routes
-/// against a masked view (downed + blacklisted channels read as empty), a
-/// retry backoff gates the whole pump, and each sent unit draws its fate
-/// (deliver / drop / grief) from the seeded fault stream.
-#[allow(clippy::too_many_arguments)]
-fn pump_payment(
-    network: &Network,
-    ledger: &mut Ledger,
-    scheme: &mut dyn RoutingScheme,
-    idx: usize,
-    p: &mut PaymentState,
-    config: &SimConfig,
-    now: f64,
-    queue: &mut EventQueue<Event>,
-    units: &mut Vec<UnitRecord>,
-    units_sent: &mut u64,
-    mut congestion: Option<&mut CongestionControl>,
-    mut faults: Option<&mut FaultRuntime>,
-) {
-    if let Some(fr) = faults.as_deref() {
-        if now < fr.not_before[idx] {
+    /// Sends as many transaction units of one pending payment as the scheme
+    /// and balances allow right now. Under fault injection the scheme
+    /// routes against a masked view (downed + blacklisted channels read as
+    /// empty), a retry backoff gates the whole pump, and each sent unit
+    /// draws its fate (deliver / drop / grief) from the seeded fault stream.
+    fn pump(&mut self, env: &Env, scheme: &mut dyn RoutingScheme, idx: usize, now: f64) {
+        let SeqState {
+            core,
+            units,
+            units_sent,
+            congestion,
+            faults,
+            ..
+        } = self;
+        if faults.as_ref().is_some_and(|fr| now < fr.not_before[idx]) {
             // Backing off after a fault failure.
             return;
         }
-    }
-    let _span = config.telemetry.span_enter(Phase::UnitDispatch);
-    config.telemetry.span_sim(Phase::UnitDispatch, now);
-    loop {
-        let remaining = p.remaining();
-        if !remaining.is_positive() {
-            break;
-        }
-        if let Some(cc) = congestion.as_deref_mut() {
-            if !cc.may_send(p.src, p.dst) {
-                config.telemetry.counter_add("sim.congestion.blocked", 1);
+        let (network, config, tel) = (env.network, env.config, env.tel);
+        let _span = tel.span_enter(Phase::UnitDispatch);
+        tel.span_sim(Phase::UnitDispatch, now);
+        let p = &mut core.payments[idx];
+        loop {
+            let remaining = p.remaining();
+            if !remaining.is_positive() {
                 break;
             }
+            if let Some(cc) = congestion.as_mut() {
+                if !cc.may_send(p.src, p.dst) {
+                    tel.counter_add("sim.congestion.blocked", 1);
+                    break;
+                }
+            }
+            let amount = remaining.min(config.mtu);
+            let view = LedgerView {
+                network,
+                ledger: &core.ledger,
+            };
+            let decision = match faults.as_ref() {
+                Some(fr) => {
+                    let masked = FaultView {
+                        inner: &view,
+                        faults: &fr.state,
+                        blacklist: &fr.blacklist,
+                        now,
+                    };
+                    scheme.route_unit(network, &masked, p.src, p.dst, amount)
+                }
+                None => scheme.route_unit(network, &view, p.src, p.dst, amount),
+            };
+            let path = match decision {
+                UnitDecision::Route(path) => path,
+                UnitDecision::Unavailable => {
+                    if let Some(cc) = congestion.as_mut() {
+                        cc.on_unavailable(p.src, p.dst);
+                    }
+                    break;
+                }
+                UnitDecision::Never => {
+                    // Under fault injection "no path" may just mean every
+                    // route is currently masked out; keep the payment alive
+                    // so it can retry once channels recover or the
+                    // blacklist expires.
+                    if faults.is_none() {
+                        p.abandon(now, tel);
+                    }
+                    break;
+                }
+            };
+            // Defensive re-check: a scheme with cached paths may ignore the
+            // masked view; never lock across a dead or blacklisted channel.
+            if let Some(fr) = faults.as_ref() {
+                if fr.state.path_blocked(&path) || fr.blacklist.path_blocked(&path, now) {
+                    break;
+                }
+            }
+            // With fees, upstream hops carry the delivered amount plus
+            // downstream fees; without, every hop carries the unit.
+            let hop_amounts: Option<Vec<Amount>> = match &config.fees {
+                Some(f) if !f.is_free() => Some(f.path_amounts(&path, amount)),
+                _ => None,
+            };
+            let locked = match &hop_amounts {
+                Some(amounts) => core.ledger.lock_path_amounts(network, &path, amounts),
+                None => core.ledger.lock_path(network, &path, amount),
+            };
+            if locked.is_err() {
+                // Scheme raced its own view, or fees pushed a hop over its
+                // balance; treat as temporarily unavailable.
+                break;
+            }
+            if let Some(cc) = congestion.as_mut() {
+                cc.on_send(p.src, p.dst);
+            }
+            p.send(amount, path.len(), now, tel);
+            *units_sent += 1;
+            tel.span_items(Phase::UnitDispatch, 1);
+            let fate = match faults.as_mut() {
+                Some(fr) => fr.state.unit_fate(&path),
+                None => UnitFate::Deliver { jitter: 0.0 },
+            };
+            let (fault, fire_at) = match fate {
+                UnitFate::Deliver { jitter } => (None, now + config.delta + jitter),
+                UnitFate::Drop { at_frac, hop_index } => {
+                    let blamed = path.hops()[hop_index.min(path.hops().len() - 1)].0;
+                    (
+                        Some(UnitFault::Dropped(blamed)),
+                        now + at_frac * config.delta,
+                    )
+                }
+                UnitFate::Grief { hold } => match path.hops().last() {
+                    Some(&(blamed, _)) => {
+                        (Some(UnitFault::Griefed(blamed)), now + config.delta + hold)
+                    }
+                    // An empty path has no hop to grief; fall back to a
+                    // plain delivery.
+                    None => (None, now + config.delta),
+                },
+            };
+            let unit = units.len();
+            units.push(UnitRecord {
+                payment: idx,
+                path,
+                amount,
+                hop_amounts,
+                fault,
+                resolved: false,
+            });
+            core.queue.push(
+                fire_at,
+                match fault {
+                    Some(_) => Event::FaultExpire { unit },
+                    None => Event::Settle { unit },
+                },
+            );
         }
-        let unit = remaining.min(config.mtu);
-        let view = LedgerView { network, ledger };
-        let decision = match faults.as_deref() {
+    }
+
+    /// Attempts an atomic payment at arrival; fails it permanently if the
+    /// scheme cannot deliver the whole value now. Under fault injection the
+    /// scheme routes against the masked view, so it never plans across
+    /// downed channels.
+    fn attempt_atomic(&mut self, env: &Env, scheme: &mut dyn RoutingScheme, idx: usize, now: f64) {
+        let (network, tel) = (env.network, env.tel);
+        let _span = tel.span_enter(Phase::UnitDispatch);
+        tel.span_sim(Phase::UnitDispatch, now);
+        let SeqState {
+            core,
+            units,
+            units_sent,
+            faults,
+            release_violations,
+            ..
+        } = self;
+        let p = &mut core.payments[idx];
+        let view = LedgerView {
+            network,
+            ledger: &core.ledger,
+        };
+        let parts = match faults.as_ref() {
             Some(fr) => {
                 let masked = FaultView {
                     inner: &view,
@@ -1214,320 +1039,44 @@ fn pump_payment(
                     blacklist: &fr.blacklist,
                     now,
                 };
-                scheme.route_unit(network, &masked, p.src, p.dst, unit)
+                scheme.route_payment(network, &masked, p.src, p.dst, p.amount)
             }
-            None => scheme.route_unit(network, &view, p.src, p.dst, unit),
+            None => scheme.route_payment(network, &view, p.src, p.dst, p.amount),
         };
-        match decision {
-            UnitDecision::Route(path) => {
-                // Defensive re-check: a scheme with cached paths may ignore
-                // the masked view; never lock across a dead or blacklisted
-                // channel.
-                if let Some(fr) = faults.as_deref() {
-                    if fr.state.path_blocked(&path) || fr.blacklist.path_blocked(&path, now) {
-                        break;
-                    }
-                }
-                // With fees, upstream hops carry the delivered amount plus
-                // downstream fees; without, every hop carries the unit.
-                let hop_amounts: Option<Vec<Amount>> = match &config.fees {
-                    Some(f) if !f.is_free() => Some(f.path_amounts(&path, unit)),
-                    _ => None,
-                };
-                let locked = match &hop_amounts {
-                    Some(amounts) => ledger.lock_path_amounts(network, &path, amounts),
-                    None => ledger.lock_path(network, &path, unit),
-                };
-                if locked.is_err() {
-                    // Scheme raced its own view, or fees pushed a hop over
-                    // its balance; treat as temporarily unavailable.
-                    break;
-                }
-                if let Some(cc) = congestion.as_deref_mut() {
-                    cc.on_send(p.src, p.dst);
-                }
-                p.inflight += unit;
-                *units_sent += 1;
-                config.telemetry.span_items(Phase::UnitDispatch, 1);
-                config.telemetry.counter_add("sim.units.sent", 1);
-                config.telemetry.emit(|| TraceEvent::UnitSent {
-                    t: now,
-                    payment: p.id.0,
-                    amount: unit.as_tokens(),
-                    hops: path.len() as u32,
-                });
-                let fate = match faults.as_deref_mut() {
-                    Some(fr) => fr.state.unit_fate(&path),
-                    None => UnitFate::Deliver { jitter: 0.0 },
-                };
-                let unit_idx = units.len();
-                let (fault, fire_at) = match fate {
-                    UnitFate::Deliver { jitter } => (None, now + config.delta + jitter),
-                    UnitFate::Drop { at_frac, hop_index } => {
-                        let blamed = path.hops()[hop_index.min(path.hops().len() - 1)].0;
-                        (
-                            Some(UnitFault::Dropped(blamed)),
-                            now + at_frac * config.delta,
-                        )
-                    }
-                    UnitFate::Grief { hold } => match path.hops().last() {
-                        Some(&(blamed, _)) => {
-                            (Some(UnitFault::Griefed(blamed)), now + config.delta + hold)
-                        }
-                        // An empty path has no hop to grief; fall back to a
-                        // plain delivery.
-                        None => (None, now + config.delta),
-                    },
-                };
-                units.push(UnitRecord {
-                    payment: idx,
-                    path,
-                    amount: unit,
-                    hop_amounts,
-                    fault,
-                    resolved: false,
-                });
-                if fault.is_some() {
-                    queue.push(fire_at, Event::FaultExpire { unit: unit_idx });
-                } else {
-                    queue.push(fire_at, Event::Settle { unit: unit_idx });
-                }
-            }
-            UnitDecision::Unavailable => {
-                if let Some(cc) = congestion.as_deref_mut() {
-                    cc.on_unavailable(p.src, p.dst);
-                }
-                break;
-            }
-            UnitDecision::Never => {
-                // Under fault injection "no path" may just mean every route
-                // is currently masked out; keep the payment alive so it can
-                // retry once channels recover or the blacklist expires.
-                if faults.is_some() {
-                    break;
-                }
-                p.status = PaymentStatus::Abandoned;
-                config.telemetry.counter_add("sim.payments.abandoned", 1);
-                config.telemetry.emit(|| TraceEvent::PaymentAbandoned {
-                    t: now,
-                    payment: p.id.0,
-                    delivered: p.delivered.as_tokens(),
-                });
-                break;
-            }
-        }
-    }
-}
-
-/// Attempts an atomic payment at arrival; fails it permanently if the
-/// scheme cannot deliver the whole value now. Under fault injection the
-/// scheme routes against the masked view, so it never plans across downed
-/// channels.
-#[allow(clippy::too_many_arguments)]
-fn attempt_atomic(
-    network: &Network,
-    ledger: &mut Ledger,
-    scheme: &mut dyn RoutingScheme,
-    p: &mut PaymentState,
-    idx: usize,
-    config: &SimConfig,
-    now: f64,
-    queue: &mut EventQueue<Event>,
-    units: &mut Vec<UnitRecord>,
-    units_sent: &mut u64,
-    faults: Option<&mut FaultRuntime>,
-    release_violations: &mut Vec<AuditViolation>,
-) {
-    let _span = config.telemetry.span_enter(Phase::UnitDispatch);
-    config.telemetry.span_sim(Phase::UnitDispatch, now);
-    let view = LedgerView { network, ledger };
-    let parts = match faults.as_deref() {
-        Some(fr) => {
-            let masked = FaultView {
-                inner: &view,
-                faults: &fr.state,
-                blacklist: &fr.blacklist,
-                now,
-            };
-            scheme.route_payment(network, &masked, p.src, p.dst, p.amount)
-        }
-        None => scheme.route_payment(network, &view, p.src, p.dst, p.amount),
-    };
-    let Some(parts) = parts else {
-        p.status = PaymentStatus::Abandoned;
-        config.telemetry.counter_add("sim.payments.abandoned", 1);
-        config.telemetry.emit(|| TraceEvent::PaymentAbandoned {
-            t: now,
-            payment: p.id.0,
-            delivered: p.delivered.as_tokens(),
-        });
-        return;
-    };
-    // Lock all parts; roll back everything if any lock fails (the schemes
-    // pre-check with an overlay, so this is a defensive path).
-    let mut locked: Vec<(Path, Amount)> = Vec::with_capacity(parts.len());
-    for (path, amount) in parts {
-        if ledger.lock_path(network, &path, amount).is_err() {
-            for (done_path, done_amount) in locked.drain(..) {
-                if let Err(e) = ledger.refund_path(network, &done_path, done_amount) {
-                    record_release(release_violations, now, "atomic-rollback", &e);
-                }
-            }
-            p.status = PaymentStatus::Abandoned;
-            config.telemetry.counter_add("sim.payments.abandoned", 1);
-            config.telemetry.emit(|| TraceEvent::PaymentAbandoned {
-                t: now,
-                payment: p.id.0,
-                delivered: p.delivered.as_tokens(),
-            });
+        let Some(parts) = parts else {
+            p.abandon(now, tel);
             return;
+        };
+        // Lock all parts; roll back everything if any lock fails (the
+        // schemes pre-check with an overlay, so this is a defensive path).
+        let mut locked: Vec<(Path, Amount)> = Vec::with_capacity(parts.len());
+        for (path, amount) in parts {
+            if core.ledger.lock_path(network, &path, amount).is_err() {
+                for (done_path, done_amount) in locked.drain(..) {
+                    if let Err(e) = core.ledger.refund_path(network, &done_path, done_amount) {
+                        record_release(release_violations, now, "atomic-rollback", &e);
+                    }
+                }
+                p.abandon(now, tel);
+                return;
+            }
+            locked.push((path, amount));
         }
-        locked.push((path, amount));
-    }
-    for (path, amount) in locked {
-        p.inflight += amount;
-        *units_sent += 1;
-        config.telemetry.counter_add("sim.units.sent", 1);
-        config.telemetry.emit(|| TraceEvent::UnitSent {
-            t: now,
-            payment: p.id.0,
-            amount: amount.as_tokens(),
-            hops: path.len() as u32,
-        });
-        let unit_idx = units.len();
-        units.push(UnitRecord {
-            payment: idx,
-            path: std::sync::Arc::new(path),
-            amount,
-            hop_amounts: None,
-            fault: None,
-            resolved: false,
-        });
-        queue.push(now + config.delta, Event::Settle { unit: unit_idx });
-    }
-}
-
-/// Settles one unit (fee-aware); returns the fee the sender paid, or the
-/// ledger's refusal if the settle would over-release.
-fn settle_unit(
-    network: &Network,
-    ledger: &mut Ledger,
-    path: &Path,
-    amount: Amount,
-    hop_amounts: &Option<Vec<Amount>>,
-) -> Result<Amount, CoreError> {
-    match hop_amounts {
-        Some(amounts) => {
-            ledger.settle_path_amounts(network, path, amounts)?;
-            Ok(amounts[0] - amount)
+        for (path, amount) in locked {
+            p.send(amount, path.len(), now, tel);
+            *units_sent += 1;
+            let unit = units.len();
+            units.push(UnitRecord {
+                payment: idx,
+                path: std::sync::Arc::new(path),
+                amount,
+                hop_amounts: None,
+                fault: None,
+                resolved: false,
+            });
+            core.queue
+                .push(now + env.config.delta, Event::Settle { unit });
         }
-        None => {
-            ledger.settle_path(network, path, amount)?;
-            Ok(Amount::ZERO)
-        }
-    }
-}
-
-/// Refunds one unit (fee-aware); propagates the ledger's refusal if the
-/// refund would over-release.
-fn refund_unit(
-    network: &Network,
-    ledger: &mut Ledger,
-    path: &Path,
-    amount: Amount,
-    hop_amounts: &Option<Vec<Amount>>,
-) -> Result<(), CoreError> {
-    match hop_amounts {
-        Some(amounts) => ledger.refund_path_amounts(network, path, amounts),
-        None => ledger.refund_path(network, path, amount),
-    }
-}
-
-fn running_metrics(payments: &[PaymentState]) -> (f64, f64) {
-    let attempted = payments.len();
-    if attempted == 0 {
-        return (0.0, 0.0);
-    }
-    let completed = payments
-        .iter()
-        .filter(|p| p.status == PaymentStatus::Completed)
-        .count();
-    let attempted_volume: f64 = payments.iter().map(|p| p.amount.as_tokens()).sum();
-    let delivered_volume: f64 = payments.iter().map(|p| p.delivered.as_tokens()).sum();
-    (
-        completed as f64 / attempted as f64,
-        if attempted_volume > 0.0 {
-            delivered_volume / attempted_volume
-        } else {
-            0.0
-        },
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_report(
-    scheme: &dyn RoutingScheme,
-    config: &SimConfig,
-    payments: &[PaymentState],
-    ledger: &Ledger,
-    units_sent: u64,
-    series: Vec<(f64, f64, f64)>,
-    rebalance: RebalanceStats,
-    routing_fees_paid: Amount,
-    audit: Option<LedgerAudit>,
-    network_series: Vec<NetworkSample>,
-    fault_stats: Option<FaultStats>,
-    release_violations: Vec<AuditViolation>,
-) -> SimReport {
-    let completed: Vec<&PaymentState> = payments
-        .iter()
-        .filter(|p| p.status == PaymentStatus::Completed)
-        .collect();
-    let mean_completion_delay = if completed.is_empty() {
-        0.0
-    } else {
-        completed
-            .iter()
-            .filter_map(|p| p.completed_at.map(|t| t - p.arrival))
-            .sum::<f64>()
-            / completed.len() as f64
-    };
-    SimReport {
-        scheme: scheme.name().to_string(),
-        policy: if scheme.kind() == SchemeKind::PacketSwitched {
-            config.policy.name().to_string()
-        } else {
-            "atomic".to_string()
-        },
-        attempted: payments.len(),
-        completed: completed.len(),
-        abandoned: payments
-            .iter()
-            .filter(|p| p.status == PaymentStatus::Abandoned)
-            .count(),
-        pending_at_end: payments
-            .iter()
-            .filter(|p| p.status == PaymentStatus::Pending)
-            .count(),
-        attempted_volume: payments.iter().map(|p| p.amount.as_tokens()).sum(),
-        delivered_volume: payments.iter().map(|p| p.delivered.as_tokens()).sum(),
-        completed_volume: completed.iter().map(|p| p.amount.as_tokens()).sum(),
-        units_sent,
-        mean_completion_delay,
-        final_mean_imbalance: ledger.mean_imbalance(),
-        rebalance,
-        routing_fees_paid: routing_fees_paid.as_tokens(),
-        series,
-        audit_checks: audit.as_ref().map_or(0, LedgerAudit::checks),
-        audit_violations: {
-            let mut v = audit.map_or_else(Vec::new, LedgerAudit::into_violations);
-            v.extend(release_violations);
-            v
-        },
-        completion_delay_percentiles: config.telemetry.delay_percentiles("sim.completion_delay"),
-        telemetry: config.telemetry.summarize(network_series),
-        faults: fault_stats,
-        shards: None,
     }
 }
 

@@ -21,32 +21,33 @@
 //! admit optimistically and absorb transient imbalance in the network
 //! instead of at the sender.
 
-use crate::audit::AuditViolation;
-use crate::engine::{record_release, sample_network};
-use crate::events::EventQueue;
+use crate::audit::{record_release, AuditViolation};
 use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultStateSnapshot, FaultView};
-use crate::ledger::Ledger;
-use crate::metrics::SimReport;
+use crate::ledger::LedgerView;
+use crate::metrics::{sample_network, SimReport};
 use crate::payment::{PaymentState, PaymentStatus};
-use crate::rebalancer::RebalanceStats;
-use crate::scheduler::{QueuePolicy, SchedulePolicy};
+use crate::scheduler::{QueuePolicy, SOURCE_POLICY};
 use crate::snapshot::{
     self, corrupt, CheckpointSpec, Codec, EventCore, Fingerprint, SnapshotError,
 };
 use serde::{Deserialize, Serialize};
 use spider_core::{crc32, Amount, BinError, ChannelId, Dec, Direction, Enc, Network, Path};
 use spider_routing::{path_bottleneck, PathCache, PathStrategy};
-use spider_telemetry::{Histogram, Phase, Telemetry, TraceEvent};
+use spider_telemetry::{Phase, Telemetry, TraceEvent};
 use spider_workload::Transaction;
 use std::collections::VecDeque;
+
+/// Per-hop propagation/processing delay (seconds).
+const HOP_DELAY: f64 = 0.05;
+
+/// Candidate paths per pair: edge-disjoint shortest paths.
+const NUM_PATHS: usize = 4;
 
 /// Configuration for the router-queue engine.
 #[derive(Clone, Debug)]
 pub struct QueuedConfig {
     /// Hard end of the measurement window (seconds).
     pub end_time: f64,
-    /// Per-hop propagation/processing delay (seconds).
-    pub hop_delay: f64,
     /// End-to-end confirmation delay Δ before funds settle (seconds).
     pub delta: f64,
     /// Maximum transaction unit.
@@ -55,12 +56,8 @@ pub struct QueuedConfig {
     pub poll_interval: f64,
     /// Per-payment deadline window (seconds after arrival).
     pub deadline: f64,
-    /// Source-side service order for pending payments.
-    pub source_policy: SchedulePolicy,
     /// Router-side queue service order.
     pub queue_policy: QueuePolicy,
-    /// Candidate paths per pair.
-    pub num_paths: usize,
     /// Hard cap per channel-direction queue; beyond it units are dropped
     /// (and refunded) on arrival.
     pub max_queue_len: usize,
@@ -80,14 +77,11 @@ impl QueuedConfig {
     pub fn new(end_time: f64) -> Self {
         QueuedConfig {
             end_time,
-            hop_delay: 0.05,
             delta: 0.5,
             mtu: Amount::from_whole(10),
             poll_interval: 0.1,
             deadline: 5.0,
-            source_policy: SchedulePolicy::Srpt,
             queue_policy: QueuePolicy::Fifo,
-            num_paths: 4,
             max_queue_len: 4_096,
             telemetry: Telemetry::disabled(),
             faults: None,
@@ -145,10 +139,24 @@ enum Event {
     Fault(FaultEvent),
 }
 
+/// The run's fixed inputs, shared by every handler.
+struct Env<'a> {
+    network: &'a Network,
+    transactions: &'a [Transaction],
+    config: &'a QueuedConfig,
+    tel: &'a Telemetry,
+    /// This engine has no sender blacklist (routers absorb outages in their
+    /// queues); an always-empty blacklist satisfies the masked view.
+    blacklist: Blacklist,
+    ckpt: Option<&'a CheckpointSpec>,
+    /// Input fingerprint stamped on snapshots (0 when not checkpointing).
+    fp: u32,
+}
+
 /// Runs the router-queue transport over `transactions`.
 ///
-/// Routing is waterfilling-style over `num_paths` edge-disjoint shortest
-/// paths, but a unit is admitted when its *first hop* can be funded.
+/// Routing is waterfilling-style over four edge-disjoint shortest paths,
+/// but a unit is admitted when its *first hop* can be funded.
 pub fn run_queued(
     network: &Network,
     transactions: &[Transaction],
@@ -203,7 +211,8 @@ pub fn resume_queued(
     run_queued_inner(network, transactions, config, Some(state), ckpt)
 }
 
-#[allow(clippy::too_many_lines)]
+/// The event loop: pops events in `(time, sequence)` order and dispatches
+/// each to its handler until the measurement window closes.
 fn run_queued_inner(
     network: &Network,
     transactions: &[Transaction],
@@ -211,477 +220,456 @@ fn run_queued_inner(
     resume: Option<QueuedState>,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<QueuedReport, SnapshotError> {
-    assert!(config.hop_delay > 0.0 && config.delta > 0.0 && config.poll_interval > 0.0);
+    assert!(config.delta > 0.0 && config.poll_interval > 0.0);
     assert!(config.mtu.is_positive());
-    assert!(config.num_paths >= 1);
-    let fp = if ckpt.is_some() {
-        fingerprint_queued(network, transactions, config)
-    } else {
-        0
+    let env = Env {
+        network,
+        transactions,
+        config,
+        tel: &config.telemetry,
+        blacklist: Blacklist::new(network.num_channels()),
+        ckpt,
+        fp: if ckpt.is_some() {
+            fingerprint_queued(network, transactions, config)
+        } else {
+            0
+        },
     };
-
     // A resumed run restores the event queue (arrivals not yet processed,
     // the next tick, pending fault transitions, ...) wholesale from the
     // snapshot, so the initial pushes happen only in a fresh state.
-    let mut st = match resume {
-        Some(st) => st,
-        None => QueuedState::new(network, transactions, config),
-    };
-    let slot = |d: Direction| match d {
-        Direction::AtoB => 0usize,
-        Direction::BtoA => 1usize,
-    };
-    // This engine has no sender blacklist (routers absorb outages in their
-    // queues); an always-empty blacklist satisfies the masked view.
-    let blacklist = Blacklist::new(network.num_channels());
-    let tel = &config.telemetry;
-
+    let mut st = resume.unwrap_or_else(|| QueuedState::new(network, transactions, config));
     while let Some((now, event)) = st.core.queue.pop() {
         if now > config.end_time {
             break;
         }
         match event {
-            Event::Arrival(i) => {
-                let _span = tel.span_enter(Phase::RoutingDecision);
-                tel.span_sim(Phase::RoutingDecision, now);
-                tel.span_items(Phase::RoutingDecision, 1);
-                let tx = &transactions[i];
-                let idx = st.core.payments.len();
-                st.core.payments.push(PaymentState {
-                    id: tx.id,
-                    src: tx.src,
-                    dst: tx.dst,
-                    amount: tx.amount,
-                    arrival: tx.arrival,
-                    deadline: tx.arrival + config.deadline,
-                    delivered: Amount::ZERO,
-                    inflight: Amount::ZERO,
-                    status: PaymentStatus::Pending,
-                    completed_at: None,
-                });
-                tel.counter_add("sim.payments.arrived", 1);
-                tel.emit(|| TraceEvent::PaymentArrived {
-                    t: now,
-                    payment: tx.id.0,
-                    src: tx.src.0,
-                    dst: tx.dst.0,
-                    amount: tx.amount.as_tokens(),
-                });
-                tel.emit(|| TraceEvent::PaymentSplit {
-                    t: now,
-                    payment: tx.id.0,
-                    // ceil(amount / mtu) in exact micro-units.
-                    units: ((tx.amount.micros() + config.mtu.micros() - 1) / config.mtu.micros())
-                        .max(0) as u64,
-                });
-                st.core.pending.push(idx);
-                pump_source(
-                    network,
-                    &mut st.core.ledger,
-                    &mut st.paths,
-                    config,
-                    idx,
-                    &mut st.core.payments,
-                    &mut st.units,
-                    &mut st.core.queue,
-                    now,
-                    &mut st.units_sent,
-                    st.faults.as_ref(),
-                    &blacklist,
-                );
+            Event::Arrival(i) => st.on_arrival(&env, now, i),
+            Event::Tick => st.on_tick(&env, now)?,
+            Event::HopArrive { unit } => st.on_hop_arrive(&env, now, unit),
+            Event::SettleUnit { unit } => st.on_settle(&env, now, unit),
+            Event::Fault(ev) => st.on_fault(&env, now, &ev),
+        }
+    }
+    Ok(st.finish(&env))
+}
+
+/// Router-queue slot of a channel direction.
+fn slot(d: Direction) -> usize {
+    match d {
+        Direction::AtoB => 0,
+        Direction::BtoA => 1,
+    }
+}
+
+impl QueuedState {
+    /// A payment arrives and its source sends what first-hop funding allows.
+    fn on_arrival(&mut self, env: &Env, now: f64, i: usize) {
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::RoutingDecision);
+        tel.span_sim(Phase::RoutingDecision, now);
+        tel.span_items(Phase::RoutingDecision, 1);
+        let idx = self.core.payments.len();
+        let config = env.config;
+        self.core.payments.push(PaymentState::arrive(
+            &env.transactions[i],
+            config.deadline,
+            Some(config.mtu),
+            now,
+            tel,
+        ));
+        self.core.pending.push(idx);
+        self.pump_source(env, idx, now);
+    }
+
+    /// A scheduler tick: abandon overdue payments, sweep expired units out
+    /// of router queues, re-pump every pending source in policy order,
+    /// sample telemetry, and checkpoint on cadence.
+    fn on_tick(&mut self, env: &Env, now: f64) -> Result<(), SnapshotError> {
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::QueueDrain);
+        tel.span_sim(Phase::QueueDrain, now);
+        tel.counter_add("sim.scheduler.polls", 1);
+        for &i in &self.core.pending {
+            let p = &mut self.core.payments[i];
+            if p.status == PaymentStatus::Pending && now >= p.deadline {
+                p.abandon(now, tel);
             }
-            Event::Tick => {
-                let _span = tel.span_enter(Phase::QueueDrain);
-                tel.span_sim(Phase::QueueDrain, now);
-                tel.counter_add("sim.scheduler.polls", 1);
-                for &i in &st.core.pending {
-                    let p = &mut st.core.payments[i];
-                    if p.status == PaymentStatus::Pending && now >= p.deadline {
-                        p.status = PaymentStatus::Abandoned;
-                        tel.counter_add("sim.payments.abandoned", 1);
-                        tel.emit(|| TraceEvent::PaymentAbandoned {
-                            t: now,
-                            payment: p.id.0,
-                            delivered: p.delivered.as_tokens(),
-                        });
-                    }
-                }
-                st.core
-                    .pending
-                    .retain(|&i| st.core.payments[i].status == PaymentStatus::Pending);
-                // Sweep expired units out of router queues so their upstream
-                // locks are refunded promptly (not only when a settlement
-                // happens to poke the queue).
-                for queues in st.router_queues.iter_mut() {
-                    for q in queues.iter_mut() {
-                        let expired: Vec<usize> = q
-                            .iter()
-                            .copied()
-                            .filter(|&u| {
-                                !st.units[u].dropped
-                                    && st.core.payments[st.units[u].payment].deadline <= now
-                            })
-                            .collect();
-                        if expired.is_empty() {
-                            continue;
-                        }
-                        q.retain(|u| !expired.contains(u));
-                        for u in expired {
-                            drop_unit(
-                                network,
-                                &mut st.core.ledger,
-                                u,
-                                &mut st.units,
-                                &mut st.core.payments,
-                                &mut st.stats,
-                                tel,
-                                now,
-                                &mut st.release_violations,
-                            );
-                        }
-                    }
-                }
-                config
-                    .source_policy
-                    .order(&st.core.payments, &mut st.core.pending);
-                let order = st.core.pending.clone();
-                for i in order {
-                    if st.core.payments[i].status == PaymentStatus::Pending {
-                        pump_source(
-                            network,
-                            &mut st.core.ledger,
-                            &mut st.paths,
-                            config,
-                            i,
-                            &mut st.core.payments,
-                            &mut st.units,
-                            &mut st.core.queue,
-                            now,
-                            &mut st.units_sent,
-                            st.faults.as_ref(),
-                            &blacklist,
-                        );
-                    }
-                }
-                st.core
-                    .pending
-                    .retain(|&i| st.core.payments[i].status == PaymentStatus::Pending);
-                if now + 1e-12 >= st.core.next_sample {
-                    sample_network(
-                        network,
-                        &st.core.ledger,
-                        &st.core.payments,
-                        now,
-                        tel,
-                        &mut st.core.network_series,
-                        &|c| {
-                            (st.router_queues[c.index()][0].len()
-                                + st.router_queues[c.index()][1].len())
-                                as u32
-                        },
-                    );
-                    // Sampling only runs on enabled handles, which always
-                    // carry an interval; fall back to the poll cadence.
-                    let interval = tel.sample_interval().unwrap_or(config.poll_interval);
-                    while st.core.next_sample <= now + 1e-12 {
-                        st.core.next_sample += interval;
-                    }
-                }
-                let next = now + config.poll_interval;
-                if next <= config.end_time {
-                    st.core.queue.push(next, Event::Tick);
-                }
-                st.core.ticks += 1;
-                if let Some(ck) = ckpt {
-                    if st.core.ticks.is_multiple_of(ck.every) {
-                        snapshot::write_event_snapshot(
-                            ck,
-                            snapshot::ENGINE_QUEUED,
-                            fp,
-                            st.core.ticks,
-                            st.encode(),
-                            None,
-                            tel,
-                        )?;
-                    }
-                }
-            }
-            Event::HopArrive { unit } => {
-                let u = &st.units[unit];
-                if u.dropped {
+        }
+        self.core.retain_pending();
+        // Sweep expired units out of router queues so their upstream locks
+        // are refunded promptly (not only when a settlement happens to poke
+        // the queue).
+        for c in 0..self.router_queues.len() {
+            for s in 0..2 {
+                let (units, payments) = (&self.units, &self.core.payments);
+                let q = &mut self.router_queues[c][s];
+                let expired: Vec<usize> = q
+                    .iter()
+                    .copied()
+                    .filter(|&u| !units[u].dropped && payments[units[u].payment].deadline <= now)
+                    .collect();
+                if expired.is_empty() {
                     continue;
                 }
-                let _span = tel.span_enter(Phase::QueueDrain);
-                tel.span_sim(Phase::QueueDrain, now);
-                tel.span_items(Phase::QueueDrain, 1);
-                if u.locked == u.path.len() {
-                    // Reached the destination; key released after Δ.
-                    st.core
-                        .queue
-                        .push(now + config.delta, Event::SettleUnit { unit });
-                    continue;
-                }
-                try_forward(
-                    network,
-                    &mut st.core.ledger,
-                    config,
-                    unit,
-                    &mut st.units,
-                    &mut st.router_queues,
-                    &mut st.core.queue,
-                    &mut st.core.payments,
-                    now,
-                    &mut st.stats,
-                    slot,
-                    st.faults.as_ref(),
-                    &mut st.release_violations,
-                );
-            }
-            Event::SettleUnit { unit } => {
-                if st.units[unit].dropped {
-                    // An outage refunded this unit during its Δ-wait; the
-                    // receiver never got the key.
-                    continue;
-                }
-                let _span = tel.span_enter(Phase::SettleRefund);
-                tel.span_sim(Phase::SettleRefund, now);
-                tel.span_items(Phase::SettleRefund, 1);
-                let u = st.units[unit].clone();
-                debug_assert_eq!(u.locked, u.path.len());
-                for (i, &(c, _)) in u.path.hops().iter().enumerate() {
-                    let to = u.path.nodes()[i + 1];
-                    if let Err(err) = st.core.ledger.settle_hop(network, c, to, u.amount) {
-                        record_release(&mut st.release_violations, now, "queued-settle", &err);
-                    }
-                }
-                let p = &mut st.core.payments[u.payment];
-                p.inflight -= u.amount;
-                p.delivered += u.amount;
-                let pid = p.id.0;
-                tel.counter_add("sim.units.settled", 1);
-                tel.emit(|| TraceEvent::UnitSettled {
-                    t: now,
-                    payment: pid,
-                    amount: u.amount.as_tokens(),
-                });
-                if p.status == PaymentStatus::Pending && p.fully_delivered() {
-                    p.status = PaymentStatus::Completed;
-                    p.completed_at = Some(now);
-                    let delay = now - p.arrival;
-                    tel.counter_add("sim.payments.completed", 1);
-                    tel.histogram_observe(
-                        "sim.completion_delay",
-                        delay,
-                        Histogram::latency_default,
-                    );
-                    tel.emit(|| TraceEvent::PaymentCompleted {
-                        t: now,
-                        payment: pid,
-                        delay,
-                    });
-                }
-                // Every hop's receiving side gained funds: drain the queues
-                // that send *from* those sides.
-                for (i, &(c, d)) in u.path.hops().iter().enumerate() {
-                    let _ = i;
-                    let rev = slot(d.reverse());
-                    drain_queue(
-                        network,
-                        &mut st.core.ledger,
-                        config,
-                        c,
-                        rev,
-                        &mut st.units,
-                        &mut st.router_queues,
-                        &mut st.core.queue,
-                        &mut st.core.payments,
-                        now,
-                        &mut st.stats,
-                        &mut st.total_wait,
-                        &mut st.dequeues,
-                        st.faults.as_ref(),
-                        &mut st.release_violations,
-                    );
+                q.retain(|u| !expired.contains(u));
+                for u in expired {
+                    self.drop_unit(env, u, now);
                 }
             }
-            Event::Fault(ev) => {
-                let _span = tel.span_enter(Phase::FaultProcessing);
-                tel.span_sim(Phase::FaultProcessing, now);
-                tel.span_items(Phase::FaultProcessing, 1);
-                let Some(fs) = st.faults.as_mut() else {
-                    // Fault events are only scheduled when a plan is
-                    // installed.
+        }
+        SOURCE_POLICY.order(&self.core.payments, &mut self.core.pending);
+        for i in self.core.pending.clone() {
+            if self.core.payments[i].status == PaymentStatus::Pending {
+                self.pump_source(env, i, now);
+            }
+        }
+        self.core.retain_pending();
+        let queues = &self.router_queues;
+        sample_network(&mut self.core, env.network, now, tel, &|c| {
+            (queues[c.index()][0].len() + queues[c.index()][1].len()) as u32
+        });
+        let next = now + env.config.poll_interval;
+        if next <= env.config.end_time {
+            self.core.queue.push(next, Event::Tick);
+        }
+        self.core.ticks += 1;
+        if let Some(ck) = env.ckpt {
+            if self.core.ticks.is_multiple_of(ck.every) {
+                snapshot::write_event_snapshot(
+                    ck,
+                    snapshot::ENGINE_QUEUED,
+                    env.fp,
+                    self.core.ticks,
+                    self.encode(),
+                    None,
+                    tel,
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A unit finished a hop: at the receiver its key releases after Δ;
+    /// at a router it forwards or queues.
+    fn on_hop_arrive(&mut self, env: &Env, now: f64, unit: usize) {
+        let u = &self.units[unit];
+        if u.dropped {
+            return;
+        }
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::QueueDrain);
+        tel.span_sim(Phase::QueueDrain, now);
+        tel.span_items(Phase::QueueDrain, 1);
+        if u.locked == u.path.len() {
+            self.core
+                .queue
+                .push(now + env.config.delta, Event::SettleUnit { unit });
+            return;
+        }
+        self.try_forward(env, unit, now);
+    }
+
+    /// The receiver released a unit's key: settle every hop, then drain the
+    /// queues the settlement refilled.
+    fn on_settle(&mut self, env: &Env, now: f64, unit: usize) {
+        if self.units[unit].dropped {
+            // An outage refunded this unit during its Δ-wait; the receiver
+            // never got the key.
+            return;
+        }
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::SettleRefund);
+        tel.span_sim(Phase::SettleRefund, now);
+        tel.span_items(Phase::SettleRefund, 1);
+        let u = self.units[unit].clone();
+        debug_assert_eq!(u.locked, u.path.len());
+        for (i, &(c, _)) in u.path.hops().iter().enumerate() {
+            let to = u.path.nodes()[i + 1];
+            if let Err(err) = self.core.ledger.settle_hop(env.network, c, to, u.amount) {
+                record_release(&mut self.release_violations, now, "queued-settle", &err);
+            }
+        }
+        self.core.payments[u.payment].settle(u.amount, now, tel);
+        // Every hop's receiving side gained funds: drain the queues that
+        // send *from* those sides.
+        for &(c, d) in u.path.hops() {
+            self.drain_queue(env, c, slot(d.reverse()), now);
+        }
+    }
+
+    /// A scheduled fault transition: refund units whose locked prefix
+    /// crosses a newly-downed channel, and service the queues of any
+    /// channel it revived.
+    fn on_fault(&mut self, env: &Env, now: f64, ev: &FaultEvent) {
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::FaultProcessing);
+        tel.span_sim(Phase::FaultProcessing, now);
+        tel.span_items(Phase::FaultProcessing, 1);
+        let Some(fs) = self.faults.as_mut() else {
+            // Fault events are only scheduled when a plan is installed.
+            return;
+        };
+        tel.emit(|| ev.trace_event(now));
+        let newly_down = fs.apply(env.network, ev);
+        // A recovery re-opens the channel: its queues are serviced below.
+        let revived: Vec<ChannelId> = match ev {
+            FaultEvent::ChannelUp(c) if !fs.is_channel_down(*c) => vec![*c],
+            FaultEvent::NodeUp(n) => env
+                .network
+                .neighbors(*n)
+                .iter()
+                .map(|&(_, c)| c)
+                .filter(|&c| !fs.is_channel_down(c))
+                .collect(),
+            _ => Vec::new(),
+        };
+        if !newly_down.is_empty() {
+            // Drop every unit whose *locked prefix* crosses a downed
+            // channel: those in-flight locks can no longer settle and must
+            // be refunded to conserve funds. Units merely queued at the
+            // downed channel keep waiting for recovery.
+            let mut refunded = 0;
+            for u in 0..self.units.len() {
+                let unit = &self.units[u];
+                if unit.dropped {
                     continue;
-                };
-                match &ev {
-                    FaultEvent::ChannelDown(c) => {
-                        let ch = c.index() as u32;
-                        tel.counter_add("sim.faults.outages", 1);
-                        tel.emit(|| TraceEvent::ChannelOutage {
-                            t: now,
-                            channel: ch,
-                        });
-                    }
-                    FaultEvent::ChannelUp(c) => {
-                        let ch = c.index() as u32;
-                        tel.emit(|| TraceEvent::ChannelRecovered {
-                            t: now,
-                            channel: ch,
-                        });
-                    }
-                    FaultEvent::NodeDown(n) => {
-                        tel.counter_add("sim.faults.node_crashes", 1);
-                        tel.emit(|| TraceEvent::NodeCrashed { t: now, node: n.0 });
-                    }
-                    FaultEvent::NodeUp(n) => {
-                        tel.emit(|| TraceEvent::NodeRecovered { t: now, node: n.0 });
-                    }
                 }
-                let newly_down = fs.apply(network, &ev);
-                if !newly_down.is_empty() {
-                    // Drop every unit whose *locked prefix* crosses a downed
-                    // channel: those in-flight locks can no longer settle and
-                    // must be refunded to conserve funds. Units merely queued
-                    // at the downed channel keep waiting for recovery.
-                    for u in 0..st.units.len() {
-                        if st.units[u].dropped {
-                            continue;
-                        }
-                        let crosses = st.units[u]
-                            .path
-                            .hops()
-                            .iter()
-                            .take(st.units[u].locked)
-                            .any(|(c, _)| newly_down.contains(c));
-                        if crosses {
-                            drop_unit(
-                                network,
-                                &mut st.core.ledger,
-                                u,
-                                &mut st.units,
-                                &mut st.core.payments,
-                                &mut st.stats,
-                                tel,
-                                now,
-                                &mut st.release_violations,
-                            );
-                            fs.stats.units_refunded_by_outage += 1;
-                        }
-                    }
-                    // Purge dropped units from router queues so they never
-                    // block a head-of-line drain.
-                    for queues in st.router_queues.iter_mut() {
-                        for q in queues.iter_mut() {
-                            q.retain(|&u| !st.units[u].dropped);
-                        }
-                    }
+                let crosses = unit
+                    .path
+                    .hops()
+                    .iter()
+                    .take(unit.locked)
+                    .any(|(c, _)| newly_down.contains(c));
+                if crosses {
+                    self.drop_unit(env, u, now);
+                    refunded += 1;
                 }
-                // A recovery re-opens the channel: service its queues now.
-                let mut revived: Vec<ChannelId> = Vec::new();
-                match &ev {
-                    FaultEvent::ChannelUp(c) if !fs.is_channel_down(*c) => revived.push(*c),
-                    FaultEvent::NodeUp(n) => {
-                        for &(_, c) in network.neighbors(*n) {
-                            if !fs.is_channel_down(c) {
-                                revived.push(c);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                for c in revived {
-                    for s in 0..2 {
-                        drain_queue(
-                            network,
-                            &mut st.core.ledger,
-                            config,
-                            c,
-                            s,
-                            &mut st.units,
-                            &mut st.router_queues,
-                            &mut st.core.queue,
-                            &mut st.core.payments,
-                            now,
-                            &mut st.stats,
-                            &mut st.total_wait,
-                            &mut st.dequeues,
-                            st.faults.as_ref(),
-                            &mut st.release_violations,
-                        );
-                    }
-                }
+            }
+            if let Some(fs) = self.faults.as_mut() {
+                fs.stats.units_refunded_by_outage += refunded;
+            }
+            // Purge dropped units from router queues so they never block a
+            // head-of-line drain.
+            let units = &self.units;
+            for q in self.router_queues.iter_mut().flatten() {
+                q.retain(|&u| !units[u].dropped);
+            }
+        }
+        for c in revived {
+            for s in 0..2 {
+                self.drain_queue(env, c, s, now);
             }
         }
     }
 
-    st.stats.mean_wait = if st.dequeues > 0 {
-        st.total_wait / st.dequeues as f64
-    } else {
-        0.0
-    };
-    debug_assert!(st.core.ledger.conserves_all());
-
-    let path_stats = st.paths.stats();
-    tel.counter_add("routing.paths.lookups", path_stats.lookups);
-    tel.counter_add("routing.paths.computed_pairs", path_stats.computed_pairs);
-    tel.counter_add("routing.paths.computed", path_stats.computed_paths);
-
-    let completed: Vec<&PaymentState> = st
-        .core
-        .payments
-        .iter()
-        .filter(|p| p.status == PaymentStatus::Completed)
-        .collect();
-    let report = SimReport {
-        scheme: "queued-waterfilling".to_string(),
-        policy: format!("{}+{:?}", config.source_policy.name(), config.queue_policy),
-        attempted: st.core.payments.len(),
-        completed: completed.len(),
-        abandoned: st
-            .core
-            .payments
-            .iter()
-            .filter(|p| p.status == PaymentStatus::Abandoned)
-            .count(),
-        pending_at_end: st
-            .core
-            .payments
-            .iter()
-            .filter(|p| p.status == PaymentStatus::Pending)
-            .count(),
-        attempted_volume: st.core.payments.iter().map(|p| p.amount.as_tokens()).sum(),
-        delivered_volume: st
-            .core
-            .payments
-            .iter()
-            .map(|p| p.delivered.as_tokens())
-            .sum(),
-        completed_volume: completed.iter().map(|p| p.amount.as_tokens()).sum(),
-        units_sent: st.units_sent,
-        mean_completion_delay: if completed.is_empty() {
-            0.0
+    /// Closes the run: queue statistics, path-cache counters, and the
+    /// report.
+    fn finish(self, env: &Env) -> QueuedReport {
+        let mut queues = self.stats;
+        queues.mean_wait = if self.dequeues > 0 {
+            self.total_wait / self.dequeues as f64
         } else {
-            completed
-                .iter()
-                .filter_map(|p| p.completed_at.map(|t| t - p.arrival))
-                .sum::<f64>()
-                / completed.len() as f64
-        },
-        final_mean_imbalance: st.core.ledger.mean_imbalance(),
-        rebalance: RebalanceStats::default(),
-        routing_fees_paid: 0.0,
-        series: Vec::new(),
-        audit_checks: 0,
-        audit_violations: st.release_violations,
-        completion_delay_percentiles: tel.delay_percentiles("sim.completion_delay"),
-        telemetry: tel.summarize(st.core.network_series),
-        faults: st.faults.map(|fs| fs.stats),
-        shards: None,
-    };
-    Ok(QueuedReport {
-        report,
-        queues: st.stats,
-    })
+            0.0
+        };
+        debug_assert!(self.core.ledger.conserves_all());
+        let tel = env.tel;
+        let path_stats = self.paths.stats();
+        tel.counter_add("routing.paths.lookups", path_stats.lookups);
+        tel.counter_add("routing.paths.computed_pairs", path_stats.computed_pairs);
+        tel.counter_add("routing.paths.computed", path_stats.computed_paths);
+        let report = SimReport {
+            audit_violations: self.release_violations,
+            faults: self.faults.map(|fs| fs.stats),
+            ..SimReport::from_run(
+                "queued-waterfilling".to_string(),
+                format!("{}+{:?}", SOURCE_POLICY.name(), env.config.queue_policy),
+                self.core,
+                self.units_sent,
+                tel,
+            )
+        };
+        QueuedReport { report, queues }
+    }
+
+    /// Sends as many units of one pending payment as first-hop funding
+    /// allows.
+    fn pump_source(&mut self, env: &Env, idx: usize, now: f64) {
+        let tel = env.tel;
+        let _span = tel.span_enter(Phase::UnitDispatch);
+        tel.span_sim(Phase::UnitDispatch, now);
+        loop {
+            let p = &self.core.payments[idx];
+            let remaining = p.remaining();
+            if !remaining.is_positive() {
+                break;
+            }
+            let unit_amount = remaining.min(env.config.mtu);
+            let src = p.src;
+            let candidates = self.paths.paths(env.network, src, p.dst);
+            if candidates.is_empty() {
+                self.core.payments[idx].abandon(now, tel);
+                break;
+            }
+            // Waterfilling preference by full-path bottleneck (fault-masked
+            // so downed channels look empty), but admission only requires
+            // the first hop to be fundable: downstream dry spells are
+            // absorbed by router queues.
+            let view = LedgerView {
+                network: env.network,
+                ledger: &self.core.ledger,
+            };
+            let best = match &self.faults {
+                Some(fs) => best_path(
+                    candidates,
+                    &FaultView {
+                        inner: &view,
+                        faults: fs,
+                        blacklist: &env.blacklist,
+                        now,
+                    },
+                ),
+                None => best_path(candidates, &view),
+            };
+            let Some(best) = best else {
+                break;
+            };
+            let (c0, _) = best.hops()[0];
+            if self
+                .faults
+                .as_ref()
+                .is_some_and(|fs| fs.is_channel_down(c0))
+            {
+                break;
+            }
+            if self
+                .core
+                .ledger
+                .lock_hop(env.network, c0, src, unit_amount)
+                .is_err()
+            {
+                break;
+            }
+            let unit = self.units.len();
+            self.core.payments[idx].send(unit_amount, best.len(), now, tel);
+            self.units.push(UnitState {
+                payment: idx,
+                amount: unit_amount,
+                path: best,
+                locked: 1,
+                queued_at: f64::NAN,
+                dropped: false,
+            });
+            self.units_sent += 1;
+            self.core
+                .queue
+                .push(now + HOP_DELAY, Event::HopArrive { unit });
+        }
+    }
+
+    /// A unit at an intermediate router tries to lock its next hop;
+    /// otherwise it joins the channel direction's queue.
+    fn try_forward(&mut self, env: &Env, unit: usize, now: f64) {
+        let u = &self.units[unit];
+        let (c, d) = u.path.hops()[u.locked];
+        let from = u.path.nodes()[u.locked];
+        let down = self.faults.as_ref().is_some_and(|fs| fs.is_channel_down(c));
+        if !down
+            && self
+                .core
+                .ledger
+                .lock_hop(env.network, c, from, u.amount)
+                .is_ok()
+        {
+            self.units[unit].locked += 1;
+            self.core
+                .queue
+                .push(now + HOP_DELAY, Event::HopArrive { unit });
+            return;
+        }
+        // Queue at this router (downed next hop queues too: the unit waits
+        // for recovery, bounded by its payment's deadline).
+        if self.router_queues[c.index()][slot(d)].len() >= env.config.max_queue_len {
+            self.drop_unit(env, unit, now);
+            return;
+        }
+        self.units[unit].queued_at = now;
+        let q = &mut self.router_queues[c.index()][slot(d)];
+        let pos = insert_position(
+            q,
+            &self.units,
+            &self.core.payments,
+            env.config.queue_policy,
+            unit,
+        );
+        q.insert(pos, unit);
+        self.stats.units_queued += 1;
+        self.stats.max_queue_len = self.stats.max_queue_len.max(q.len());
+        let depth = q.len() as u32;
+        env.tel.emit(|| TraceEvent::UnitQueued {
+            t: now,
+            payment: self.core.payments[self.units[unit].payment].id.0,
+            channel: c.index() as u32,
+            depth,
+        });
+    }
+
+    /// Services a channel direction's queue after its sending side gained
+    /// funds.
+    fn drain_queue(&mut self, env: &Env, channel: ChannelId, slot: usize, now: f64) {
+        if self
+            .faults
+            .as_ref()
+            .is_some_and(|fs| fs.is_channel_down(channel))
+        {
+            return; // nothing forwards over a downed channel
+        }
+        while let Some(&head) = self.router_queues[channel.index()][slot].front() {
+            let u = &self.units[head];
+            // Expired while waiting?
+            if self.core.payments[u.payment].deadline <= now || u.dropped {
+                self.router_queues[channel.index()][slot].pop_front();
+                if !self.units[head].dropped {
+                    self.drop_unit(env, head, now);
+                }
+                continue;
+            }
+            let from = u.path.nodes()[u.locked];
+            if self
+                .core
+                .ledger
+                .lock_hop(env.network, channel, from, u.amount)
+                .is_err()
+            {
+                break; // head blocked; policy order preserved (no bypass)
+            }
+            self.router_queues[channel.index()][slot].pop_front();
+            let u = &mut self.units[head];
+            self.total_wait += now - u.queued_at;
+            self.dequeues += 1;
+            u.queued_at = f64::NAN;
+            u.locked += 1;
+            self.core
+                .queue
+                .push(now + HOP_DELAY, Event::HopArrive { unit: head });
+        }
+    }
+
+    /// Drops a unit: refunds every upstream lock. The payment's in-flight
+    /// value shrinks so the source may resend it (until its deadline).
+    fn drop_unit(&mut self, env: &Env, unit: usize, now: f64) {
+        let u = &mut self.units[unit];
+        debug_assert!(!u.dropped);
+        for (i, &(c, _)) in u.path.hops().iter().take(u.locked).enumerate() {
+            let from = u.path.nodes()[i];
+            if let Err(err) = self.core.ledger.refund_hop(env.network, c, from, u.amount) {
+                record_release(&mut self.release_violations, now, "queued-drop", &err);
+            }
+        }
+        u.dropped = true;
+        self.stats.units_dropped += 1;
+        self.core.payments[u.payment].refund(u.amount, now, env.tel);
+    }
 }
 
 fn fingerprint_queued(
@@ -692,11 +680,11 @@ fn fingerprint_queued(
     let mut e = Enc::new();
     snapshot::enc_inputs(&mut e, network, transactions);
     e.str("queued-waterfilling");
-    (config.end_time, config.hop_delay, config.delta, config.mtu).enc(&mut e);
+    (config.end_time, HOP_DELAY, config.delta, config.mtu).enc(&mut e);
     (config.poll_interval, config.deadline).enc(&mut e);
-    e.str(config.source_policy.name());
+    e.str(SOURCE_POLICY.name());
     config.queue_policy.fingerprint(&mut e);
-    (config.num_paths, config.max_queue_len).enc(&mut e);
+    (NUM_PATHS, config.max_queue_len).enc(&mut e);
     config.faults.fingerprint(&mut e);
     config.telemetry.fingerprint(&mut e);
     crc32(&e.into_bytes())
@@ -784,7 +772,7 @@ impl QueuedState {
         QueuedState {
             core,
             units: Vec::new(),
-            paths: PathCache::new(PathStrategy::EdgeDisjoint(config.num_paths)),
+            paths: PathCache::new(PathStrategy::EdgeDisjoint(NUM_PATHS)),
             router_queues: (0..network.num_channels())
                 .map(|_| [VecDeque::new(), VecDeque::new()])
                 .collect(),
@@ -831,7 +819,7 @@ impl QueuedState {
         let d = &mut Dec::new(bytes);
         let core = EventCore::dec_prefix(d, network)?;
         let units = Codec::dec(d, network)?;
-        let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(config.num_paths));
+        let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(NUM_PATHS));
         paths
             .restore(network, d.bytes()?)
             .map_err(|e| corrupt(format!("path cache: {e}")))?;
@@ -907,93 +895,6 @@ impl QueuedState {
     }
 }
 
-/// Sends as many units of one pending payment as first-hop funding allows.
-#[allow(clippy::too_many_arguments)]
-fn pump_source(
-    network: &Network,
-    ledger: &mut Ledger,
-    paths: &mut PathCache,
-    config: &QueuedConfig,
-    idx: usize,
-    payments: &mut [PaymentState],
-    units: &mut Vec<UnitState>,
-    queue: &mut EventQueue<Event>,
-    now: f64,
-    units_sent: &mut u64,
-    faults: Option<&FaultState>,
-    blacklist: &Blacklist,
-) {
-    let _span = config.telemetry.span_enter(Phase::UnitDispatch);
-    config.telemetry.span_sim(Phase::UnitDispatch, now);
-    loop {
-        let p = &payments[idx];
-        let remaining = p.remaining();
-        if !remaining.is_positive() {
-            break;
-        }
-        let unit_amount = remaining.min(config.mtu);
-        let (src, dst) = (p.src, p.dst);
-        let candidates = paths.paths(network, src, dst);
-        if candidates.is_empty() {
-            payments[idx].status = PaymentStatus::Abandoned;
-            let p = &payments[idx];
-            config.telemetry.counter_add("sim.payments.abandoned", 1);
-            config.telemetry.emit(|| TraceEvent::PaymentAbandoned {
-                t: now,
-                payment: p.id.0,
-                delivered: p.delivered.as_tokens(),
-            });
-            break;
-        }
-        // Waterfilling preference by full-path bottleneck (fault-masked so
-        // downed channels look empty), but admission only requires the
-        // first hop to be fundable: downstream dry spells are absorbed by
-        // router queues.
-        let view = crate::ledger::LedgerView { network, ledger };
-        let best = match faults {
-            Some(fs) => best_path(
-                candidates,
-                &FaultView {
-                    inner: &view,
-                    faults: fs,
-                    blacklist,
-                    now,
-                },
-            ),
-            None => best_path(candidates, &view),
-        };
-        let Some(best) = best else {
-            break;
-        };
-        let (c0, _) = best.hops()[0];
-        if faults.is_some_and(|fs| fs.is_channel_down(c0)) {
-            break;
-        }
-        if ledger.lock_hop(network, c0, src, unit_amount).is_err() {
-            break;
-        }
-        let unit_id = units.len();
-        units.push(UnitState {
-            payment: idx,
-            amount: unit_amount,
-            path: best,
-            locked: 1,
-            queued_at: f64::NAN,
-            dropped: false,
-        });
-        payments[idx].inflight += unit_amount;
-        *units_sent += 1;
-        config.telemetry.counter_add("sim.units.sent", 1);
-        config.telemetry.emit(|| TraceEvent::UnitSent {
-            t: now,
-            payment: payments[idx].id.0,
-            amount: unit_amount.as_tokens(),
-            hops: units[unit_id].path.len() as u32,
-        });
-        queue.push(now + config.hop_delay, Event::HopArrive { unit: unit_id });
-    }
-}
-
 /// Waterfilling path preference: max bottleneck, shorter path on ties.
 /// `None` only for an empty candidate set (callers check first).
 fn best_path<V: spider_core::BalanceView>(
@@ -1005,65 +906,6 @@ fn best_path<V: spider_core::BalanceView>(
         .map(|path| (path_bottleneck(view, path), path))
         .max_by(|a, b| a.0.cmp(&b.0).then(b.1.len().cmp(&a.1.len())))
         .map(|(_, path)| std::sync::Arc::clone(path))
-}
-
-/// A unit at an intermediate router tries to lock its next hop; otherwise
-/// it joins the channel direction's queue.
-#[allow(clippy::too_many_arguments)]
-fn try_forward(
-    network: &Network,
-    ledger: &mut Ledger,
-    config: &QueuedConfig,
-    unit: usize,
-    units: &mut [UnitState],
-    router_queues: &mut [[VecDeque<usize>; 2]],
-    queue: &mut EventQueue<Event>,
-    payments: &mut [PaymentState],
-    now: f64,
-    stats: &mut QueueStats,
-    slot: impl Fn(Direction) -> usize,
-    faults: Option<&FaultState>,
-    violations: &mut Vec<AuditViolation>,
-) {
-    let (c, d) = units[unit].path.hops()[units[unit].locked];
-    let from = units[unit].path.nodes()[units[unit].locked];
-    let amount = units[unit].amount;
-    let down = faults.is_some_and(|fs| fs.is_channel_down(c));
-    if !down && ledger.lock_hop(network, c, from, amount).is_ok() {
-        units[unit].locked += 1;
-        queue.push(now + config.hop_delay, Event::HopArrive { unit });
-        return;
-    }
-    // Queue at this router (downed next hop queues too: the unit waits for
-    // recovery, bounded by its payment's deadline).
-    let q = &mut router_queues[c.index()][slot(d)];
-    if q.len() >= config.max_queue_len {
-        drop_unit(
-            network,
-            ledger,
-            unit,
-            units,
-            payments,
-            stats,
-            &config.telemetry,
-            now,
-            violations,
-        );
-        return;
-    }
-    units[unit].queued_at = now;
-    let pos = insert_position(q, units, payments, config.queue_policy, unit);
-    q.insert(pos, unit);
-    stats.units_queued += 1;
-    stats.max_queue_len = stats.max_queue_len.max(q.len());
-    let depth = q.len() as u32;
-    config.telemetry.counter_add("sim.units.queued", 1);
-    config.telemetry.emit(|| TraceEvent::UnitQueued {
-        t: now,
-        payment: payments[units[unit].payment].id.0,
-        channel: c.index() as u32,
-        depth,
-    });
 }
 
 /// Position a newly queued unit according to the queue policy.
@@ -1087,96 +929,6 @@ fn insert_position(
             })
             .unwrap_or(q.len()),
     }
-}
-
-/// Services a channel direction's queue after its sending side gained funds.
-#[allow(clippy::too_many_arguments)]
-fn drain_queue(
-    network: &Network,
-    ledger: &mut Ledger,
-    config: &QueuedConfig,
-    channel: ChannelId,
-    slot_idx: usize,
-    units: &mut [UnitState],
-    router_queues: &mut [[VecDeque<usize>; 2]],
-    queue: &mut EventQueue<Event>,
-    payments: &mut [PaymentState],
-    now: f64,
-    stats: &mut QueueStats,
-    total_wait: &mut f64,
-    dequeues: &mut usize,
-    faults: Option<&FaultState>,
-    violations: &mut Vec<AuditViolation>,
-) {
-    if faults.is_some_and(|fs| fs.is_channel_down(channel)) {
-        return; // nothing forwards over a downed channel
-    }
-    while let Some(&head) = router_queues[channel.index()][slot_idx].front() {
-        // Expired while waiting?
-        if payments[units[head].payment].deadline <= now || units[head].dropped {
-            router_queues[channel.index()][slot_idx].pop_front();
-            if !units[head].dropped {
-                drop_unit(
-                    network,
-                    ledger,
-                    head,
-                    units,
-                    payments,
-                    stats,
-                    &config.telemetry,
-                    now,
-                    violations,
-                );
-            }
-            continue;
-        }
-        let from = units[head].path.nodes()[units[head].locked];
-        let amount = units[head].amount;
-        if ledger.lock_hop(network, channel, from, amount).is_err() {
-            break; // head blocked; policy order preserved (no bypass)
-        }
-        router_queues[channel.index()][slot_idx].pop_front();
-        *total_wait += now - units[head].queued_at;
-        *dequeues += 1;
-        units[head].queued_at = f64::NAN;
-        units[head].locked += 1;
-        queue.push(now + config.hop_delay, Event::HopArrive { unit: head });
-    }
-}
-
-/// Drops a unit: refunds every upstream lock. The payment's in-flight value
-/// shrinks so the source may retry (until its deadline).
-#[allow(clippy::too_many_arguments)]
-fn drop_unit(
-    network: &Network,
-    ledger: &mut Ledger,
-    unit: usize,
-    units: &mut [UnitState],
-    payments: &mut [PaymentState],
-    stats: &mut QueueStats,
-    telemetry: &Telemetry,
-    now: f64,
-    violations: &mut Vec<AuditViolation>,
-) {
-    let u = &mut units[unit];
-    debug_assert!(!u.dropped);
-    for (i, &(c, _)) in u.path.hops().iter().take(u.locked).enumerate() {
-        let from = u.path.nodes()[i];
-        if let Err(err) = ledger.refund_hop(network, c, from, u.amount) {
-            record_release(violations, now, "queued-drop", &err);
-        }
-    }
-    u.dropped = true;
-    stats.units_dropped += 1;
-    telemetry.counter_add("sim.units.refunded", 1);
-    telemetry.emit(|| TraceEvent::UnitRefunded {
-        t: now,
-        payment: payments[u.payment].id.0,
-        amount: u.amount.as_tokens(),
-    });
-    // The value returns to "remaining" so the source can resend it (until
-    // the payment's own deadline).
-    payments[u.payment].inflight -= u.amount;
 }
 
 #[cfg(test)]

@@ -51,17 +51,18 @@
 //!   owns, publishing the new balances through the ordinary dirty-balance
 //!   exchange; scheduled corrections are part of the shard checkpoint.
 
-use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
+use crate::audit::{
+    record_release, AuditViolation, AuditViolationKind, LedgerAudit, MAX_RECORDED_VIOLATIONS,
+};
 use crate::congestion::CongestionConfig;
-use crate::engine::record_release;
 use crate::faults::{
     FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStateSnapshot, FaultStats, SplitMix64,
 };
 use crate::ledger::Ledger;
 use crate::metrics::SimReport;
-use crate::payment::PaymentStatus;
+use crate::payment::{tokens, PaymentStatus};
 use crate::rebalancer::{RebalancePolicy, RebalanceStats};
-use crate::scheduler::{QueuePolicy, SchedulePolicy};
+use crate::scheduler::{QueuePolicy, SOURCE_POLICY};
 use crate::snapshot::{self, corrupt, CheckpointSpec, Codec, Fingerprint, Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize};
 use spider_core::{
@@ -70,7 +71,7 @@ use spider_core::{
 use spider_routing::{
     FeeSchedule, RoutingScheme, ShortestPathScheme, UnitDecision, WaterfillingScheme,
 };
-use spider_telemetry::{Histogram, HistogramSnapshot, NetworkSample, Phase, Telemetry, TraceEvent};
+use spider_telemetry::{HistogramSnapshot, NetworkSample, Phase, Telemetry, TraceEvent};
 use spider_topology::Partition;
 use spider_workload::Transaction;
 use std::collections::BTreeMap;
@@ -159,9 +160,6 @@ pub struct ShardedConfig {
     /// What a unit does when a hop lock fails: refund ([`ShardPolicy::Direct`])
     /// or wait in the owner shard's router queue ([`ShardPolicy::Queued`]).
     pub policy: ShardPolicy,
-    /// How each payment owner orders its pending payments when pumping
-    /// under [`ShardPolicy::Queued`] (`Direct` keeps arrival order).
-    pub source_policy: SchedulePolicy,
     /// Service order within a router queue under [`ShardPolicy::Queued`].
     pub queue_policy: QueuePolicy,
     /// Hard cap per `(channel, direction)` router queue; a unit arriving
@@ -191,7 +189,6 @@ impl ShardedConfig {
             faults: None,
             telemetry: Telemetry::disabled(),
             policy: ShardPolicy::Direct,
-            source_policy: SchedulePolicy::Srpt,
             queue_policy: QueuePolicy::Fifo,
             max_queue_len: 4096,
             fees: None,
@@ -199,13 +196,6 @@ impl ShardedConfig {
             rebalance: None,
         }
     }
-}
-
-/// Converts an exact fixed-point amount to display tokens — the single
-/// conversion point for every report/trace value this engine emits.
-fn tokens(a: Amount) -> f64 {
-    // spider-lint: allow(money-safety) — one conversion boundary for reports/traces
-    a.as_tokens()
 }
 
 /// Simulation time of an epoch. The product is the *only* way epochs
@@ -874,7 +864,7 @@ impl<'a> ShardCtx<'a> {
         if owner == self.shard {
             return true;
         }
-        if self.violations.len() < crate::engine::MAX_RELEASE_VIOLATIONS {
+        if self.violations.len() < MAX_RECORDED_VIOLATIONS {
             self.violations.push(AuditViolation {
                 time: t_of(epoch),
                 event: event.to_string(),
@@ -928,70 +918,34 @@ impl<'a> ShardCtx<'a> {
         {
             let (_, plan_idx, ev) = self.plan_events[self.plan_cursor].clone();
             self.plan_cursor += 1;
-            let t = t_of(epoch);
-            match &ev {
-                FaultEvent::ChannelDown(c) => {
-                    if self.partition.channel_owner(*c) as u16 == self.shard {
-                        self.stats.outages += 1;
-                        let channel = c.index() as u32;
-                        self.emit(
-                            Key {
-                                epoch,
-                                rank: RANK_FAULT,
-                                a: plan_idx,
-                                b: 0,
-                            },
-                            TraceEvent::ChannelOutage { t, channel },
-                        );
-                    }
+            let owned = match &ev {
+                FaultEvent::ChannelDown(c) | FaultEvent::ChannelUp(c) => {
+                    self.partition.channel_owner(*c) as u16 == self.shard
                 }
-                FaultEvent::ChannelUp(c) => {
-                    if self.partition.channel_owner(*c) as u16 == self.shard {
-                        self.stats.recoveries += 1;
-                        let channel = c.index() as u32;
-                        self.emit(
-                            Key {
-                                epoch,
-                                rank: RANK_FAULT,
-                                a: plan_idx,
-                                b: 0,
-                            },
-                            TraceEvent::ChannelRecovered { t, channel },
-                        );
-                    }
+                FaultEvent::NodeDown(n) | FaultEvent::NodeUp(n) => {
+                    self.partition.node_shard(*n) as u16 == self.shard
                 }
-                FaultEvent::NodeDown(n) => {
-                    if self.partition.node_shard(*n) as u16 == self.shard {
-                        let was_down = self.faults.as_ref().is_some_and(|f| f.is_node_down(*n));
-                        if !was_down {
+            };
+            if owned {
+                match &ev {
+                    FaultEvent::ChannelDown(_) => self.stats.outages += 1,
+                    FaultEvent::ChannelUp(_) => self.stats.recoveries += 1,
+                    FaultEvent::NodeDown(n) => {
+                        if !self.faults.as_ref().is_some_and(|f| f.is_node_down(*n)) {
                             self.stats.node_crashes += 1;
                         }
-                        let node = n.index() as u32;
-                        self.emit(
-                            Key {
-                                epoch,
-                                rank: RANK_FAULT,
-                                a: plan_idx,
-                                b: 0,
-                            },
-                            TraceEvent::NodeCrashed { t, node },
-                        );
                     }
+                    FaultEvent::NodeUp(_) => {}
                 }
-                FaultEvent::NodeUp(n) => {
-                    if self.partition.node_shard(*n) as u16 == self.shard {
-                        let node = n.index() as u32;
-                        self.emit(
-                            Key {
-                                epoch,
-                                rank: RANK_FAULT,
-                                a: plan_idx,
-                                b: 0,
-                            },
-                            TraceEvent::NodeRecovered { t, node },
-                        );
-                    }
-                }
+                self.emit(
+                    Key {
+                        epoch,
+                        rank: RANK_FAULT,
+                        a: plan_idx,
+                        b: 0,
+                    },
+                    ev.trace_event(t_of(epoch)),
+                );
             }
             if let Some(f) = self.faults.as_mut() {
                 let _ = f.apply(self.network, &ev);
@@ -1770,7 +1724,7 @@ impl<'a> ShardCtx<'a> {
             // but the paper's SRPT source scheduling is the queued-router
             // default, and the order shapes seq assignment within a tick.
             let payments = &self.payments;
-            self.cfg.source_policy.order_quantized(
+            SOURCE_POLICY.order_quantized(
                 &mut order,
                 |i| (payments[i].amount - payments[i].delivered).micros(),
                 |i| payments[i].arrival_epoch,
@@ -2263,7 +2217,7 @@ fn fingerprint_sharded(
     config.faults.fingerprint(&mut e);
     config.telemetry.fingerprint(&mut e);
     e.str(config.policy.name());
-    e.str(config.source_policy.name());
+    e.str(SOURCE_POLICY.name());
     config.queue_policy.fingerprint(&mut e);
     e.usize(config.max_queue_len);
     config.fees.fingerprint(&mut e);
@@ -2832,43 +2786,16 @@ fn merge_outputs(
     let tel = &config.telemetry;
 
     // Trace: k-way merge by key (keys are globally unique), replayed into
-    // the telemetry handle — counters and the completion-delay histogram
-    // are rebuilt from the merged order, so they cannot depend on shard
-    // interleaving.
+    // the telemetry handle — `emit` rebuilds the event counters and the
+    // completion-delay histogram from the merged order, so they cannot
+    // depend on shard interleaving.
     let mut all_events: Vec<(Key, TraceEvent)> =
         outputs.iter_mut().flat_map(|o| o.trace.drain(..)).collect();
     all_events.sort_unstable_by_key(|x| x.0);
     if tel.is_enabled() {
         tel.counter_add("sim.scheduler.polls", clock.end_epoch / clock.poll_epochs);
-        for (_, ev) in &all_events {
-            let counter = match ev {
-                TraceEvent::PaymentArrived { .. } => Some("sim.payments.arrived"),
-                TraceEvent::UnitSent { .. } => Some("sim.units.sent"),
-                TraceEvent::UnitSettled { .. } => Some("sim.units.settled"),
-                TraceEvent::UnitRefunded { .. } => Some("sim.units.refunded"),
-                TraceEvent::UnitDropped { .. } => Some("sim.units.dropped"),
-                TraceEvent::UnitGriefed { .. } => Some("sim.units.griefed"),
-                TraceEvent::PaymentCompleted { delay, .. } => {
-                    tel.histogram_observe(
-                        "sim.completion_delay",
-                        *delay,
-                        Histogram::latency_default,
-                    );
-                    Some("sim.payments.completed")
-                }
-                TraceEvent::PaymentAbandoned { .. } => Some("sim.payments.abandoned"),
-                TraceEvent::PaymentRetry { .. } => Some("sim.payments.retries"),
-                TraceEvent::ChannelOutage { .. } => Some("sim.faults.outages"),
-                TraceEvent::NodeCrashed { .. } => Some("sim.faults.node_crashes"),
-                TraceEvent::UnitQueued { .. } => Some("sim.units.queued"),
-                TraceEvent::RebalanceApplied { .. } => Some("sim.rebalance.applied"),
-                _ => None,
-            };
-            if let Some(name) = counter {
-                tel.counter_add(name, 1);
-            }
-            let cloned = ev.clone();
-            tel.emit(move || cloned);
+        for (_, ev) in all_events {
+            tel.emit(|| ev);
         }
     }
 
@@ -2916,7 +2843,7 @@ fn merge_outputs(
             .then_with(|| x.event.cmp(&y.event))
             .then_with(|| format!("{:?}", x.kind).cmp(&format!("{:?}", y.kind)))
     });
-    audit_violations.truncate(crate::engine::MAX_RELEASE_VIOLATIONS);
+    audit_violations.truncate(MAX_RECORDED_VIOLATIONS);
 
     // Payment rows, sorted by id: every float fold below follows id order.
     let mut rows: Vec<&LocalPayment> = outputs.iter().flat_map(|o| o.payments.iter()).collect();

@@ -23,6 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use spider_core::{Amount, BalanceView, ChannelId, Direction, Network, NodeId, Path};
+use spider_telemetry::TraceEvent;
 
 /// SplitMix64 (Steele, Lea & Flood 2014): a tiny, high-quality,
 /// fully deterministic 64-bit generator. Used for both schedule expansion
@@ -230,6 +231,30 @@ pub enum FaultEvent {
     NodeDown(NodeId),
     /// The node rejoins.
     NodeUp(NodeId),
+}
+
+impl FaultEvent {
+    /// The trace event recording this transition at time `t`.
+    pub(crate) fn trace_event(&self, t: f64) -> TraceEvent {
+        match *self {
+            FaultEvent::ChannelDown(c) => TraceEvent::ChannelOutage {
+                t,
+                channel: c.index() as u32,
+            },
+            FaultEvent::ChannelUp(c) => TraceEvent::ChannelRecovered {
+                t,
+                channel: c.index() as u32,
+            },
+            FaultEvent::NodeDown(n) => TraceEvent::NodeCrashed {
+                t,
+                node: n.index() as u32,
+            },
+            FaultEvent::NodeUp(n) => TraceEvent::NodeRecovered {
+                t,
+                node: n.index() as u32,
+            },
+        }
+    }
 }
 
 /// The expanded fault schedule for one run: scripted `(time, event)` pairs

@@ -5,16 +5,28 @@
 //! - [`ledger`] — live channel balances with HTLC-style in-flight locking
 //!   and exact conservation of funds,
 //! - [`events`] — a deterministic `(time, sequence)`-ordered event queue,
-//! - [`payment`] / [`scheduler`] — pending-payment state and SRPT/FIFO/
-//!   LIFO/EDF service policies,
-//! - [`engine`] — the simulation loop driving any
+//! - [`payment`] — per-payment state and the payment lifecycle: arrival,
+//!   unit send/settle/refund, completion, and abandonment, each one method
+//!   that updates the payment and traces the transition,
+//! - [`scheduler`] — SRPT/FIFO/LIFO/EDF service policies for pending
+//!   payments and router queues,
+//! - [`engine`] — the source-queued simulation loop driving any
 //!   [`spider_routing::RoutingScheme`],
+//! - [`engine_queued`] — the hop-by-hop transport with in-network router
+//!   queues (Fig. 3 / §4.2),
 //! - [`engine_sharded`] — the partition-parallel engine: one simulation
 //!   split across threads by a [`spider_topology::Partition`], merged
 //!   byte-identically at any shard count,
+//! - [`faults`] — deterministic fault injection (outages, node churn, unit
+//!   drops, jitter, griefing) and sender-side retry,
+//! - [`congestion`] — AIMD congestion control at end hosts,
+//! - [`rebalancer`] — on-chain rebalancing by routers,
 //! - [`metrics`] — success ratio / success volume reporting,
 //! - [`audit`] — opt-in ledger invariant checking after every
-//!   balance-mutating event, reported as structured violations.
+//!   balance-mutating event, reported as structured violations,
+//! - [`snapshot`] — versioned `SPSN` checkpoints every engine resumes from
+//!   byte-identically,
+//! - [`wire`] — the wire encoding of transaction units.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

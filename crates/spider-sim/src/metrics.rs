@@ -3,9 +3,13 @@
 
 use crate::audit::AuditViolation;
 use crate::faults::FaultStats;
+use crate::ledger::Ledger;
+use crate::payment::{tokens, PaymentState, PaymentStatus};
 use crate::rebalancer::RebalanceStats;
+use crate::snapshot::EventCore;
 use serde::{Deserialize, Serialize};
-use spider_telemetry::{DelayPercentiles, TelemetrySummary};
+use spider_core::{ChannelId, Network};
+use spider_telemetry::{DelayPercentiles, NetworkSample, Telemetry, TelemetrySummary, TraceEvent};
 
 /// Result of one simulation run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -75,6 +79,56 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    /// The report of an event-engine run, built from its payments, final
+    /// ledger, and telemetry. Feature sections (rebalancing, fees, series,
+    /// audit, faults) start empty for the engine to fill in.
+    pub(crate) fn from_run<E>(
+        scheme: String,
+        policy: String,
+        core: EventCore<E>,
+        units_sent: u64,
+        telemetry: &Telemetry,
+    ) -> SimReport {
+        let payments = &core.payments;
+        let completed: Vec<&PaymentState> = payments
+            .iter()
+            .filter(|p| p.status == PaymentStatus::Completed)
+            .collect();
+        let mean_completion_delay = if completed.is_empty() {
+            0.0
+        } else {
+            completed
+                .iter()
+                .filter_map(|p| p.completed_at.map(|t| t - p.arrival))
+                .sum::<f64>()
+                / completed.len() as f64
+        };
+        let count = |status| payments.iter().filter(|p| p.status == status).count();
+        SimReport {
+            scheme,
+            policy,
+            attempted: payments.len(),
+            completed: completed.len(),
+            abandoned: count(PaymentStatus::Abandoned),
+            pending_at_end: count(PaymentStatus::Pending),
+            attempted_volume: payments.iter().map(|p| tokens(p.amount)).sum(),
+            delivered_volume: payments.iter().map(|p| tokens(p.delivered)).sum(),
+            completed_volume: completed.iter().map(|p| tokens(p.amount)).sum(),
+            units_sent,
+            mean_completion_delay,
+            final_mean_imbalance: core.ledger.mean_imbalance(),
+            rebalance: RebalanceStats::default(),
+            routing_fees_paid: 0.0,
+            series: Vec::new(),
+            audit_checks: 0,
+            audit_violations: Vec::new(),
+            completion_delay_percentiles: telemetry.delay_percentiles("sim.completion_delay"),
+            telemetry: telemetry.summarize(core.network_series),
+            faults: None,
+            shards: None,
+        }
+    }
+
     /// `completed / attempted` — the paper's *success ratio*.
     pub fn success_ratio(&self) -> f64 {
         if self.attempted == 0 {
@@ -119,6 +173,83 @@ impl SimReport {
             self.pending_at_end,
             self.units_sent
         )
+    }
+}
+
+/// `(success ratio, success volume)` over the payments arrived so far.
+pub(crate) fn running_metrics(payments: &[PaymentState]) -> (f64, f64) {
+    let attempted = payments.len();
+    if attempted == 0 {
+        return (0.0, 0.0);
+    }
+    let completed = payments
+        .iter()
+        .filter(|p| p.status == PaymentStatus::Completed)
+        .count();
+    let attempted_volume: f64 = payments.iter().map(|p| tokens(p.amount)).sum();
+    let delivered_volume: f64 = payments.iter().map(|p| tokens(p.delivered)).sum();
+    (
+        completed as f64 / attempted as f64,
+        if attempted_volume > 0.0 {
+            delivered_volume / attempted_volume
+        } else {
+            0.0
+        },
+    )
+}
+
+/// On a tick at or past the next sample time, emits one `ChannelSample`
+/// per channel plus one aggregate [`NetworkSample`], then advances the
+/// sampling cadence. Sampling piggybacks on an existing scheduler tick and
+/// never queues events of its own, so the `(time, sequence)` order of the
+/// simulation is identical with telemetry on or off (a disabled handle's
+/// next sample is never due).
+pub(crate) fn sample_network<E>(
+    core: &mut EventCore<E>,
+    network: &Network,
+    now: f64,
+    telemetry: &Telemetry,
+    queue_depth: &dyn Fn(ChannelId) -> u32,
+) {
+    if now + 1e-12 < core.next_sample {
+        return;
+    }
+    let ledger: &Ledger = &core.ledger;
+    let mut max_depth: u32 = 0;
+    for ch in network.channels() {
+        let (a, b) = ledger.balances(ch.id);
+        let total = tokens(a.saturating_add(b));
+        let imbalance = if total > 0.0 {
+            (tokens(a) - tokens(b)).abs() / total
+        } else {
+            0.0
+        };
+        let depth = queue_depth(ch.id);
+        max_depth = max_depth.max(depth);
+        let inflight = tokens(ledger.inflight(ch.id));
+        telemetry.emit(|| TraceEvent::ChannelSample {
+            t: now,
+            channel: ch.id.index() as u32,
+            imbalance,
+            inflight,
+            queue_depth: depth,
+        });
+    }
+    let pending = core
+        .payments
+        .iter()
+        .filter(|p| p.status == PaymentStatus::Pending)
+        .count() as u32;
+    core.network_series.push(NetworkSample {
+        t: now,
+        mean_imbalance: ledger.mean_imbalance(),
+        total_inflight: tokens(ledger.total_inflight()),
+        pending,
+        max_queue_depth: max_depth,
+    });
+    let interval = telemetry.sample_interval().unwrap_or(f64::INFINITY);
+    while core.next_sample <= now + 1e-12 {
+        core.next_sample += interval;
     }
 }
 

@@ -36,6 +36,11 @@ pub enum SchedulePolicy {
     Edf,
 }
 
+/// Source-side service order of the router-queue transports
+/// ([`run_queued`](crate::run_queued) and the sharded engine's
+/// [`ShardPolicy::Queued`](crate::ShardPolicy::Queued)): SRPT, the paper's.
+pub(crate) const SOURCE_POLICY: SchedulePolicy = SchedulePolicy::Srpt;
+
 impl SchedulePolicy {
     /// Sorts pending payment indices into service order (stable and
     /// deterministic: ties break by payment id).

@@ -843,6 +843,13 @@ impl<E: Codec> EventCore<E> {
         }
     }
 
+    /// Drops payments that are no longer pending from the pending list.
+    pub fn retain_pending(&mut self) {
+        let payments = &self.payments;
+        self.pending
+            .retain(|&i| payments[i].status == PaymentStatus::Pending);
+    }
+
     /// Writes the shared `SEC_CORE` prefix.
     pub fn enc_prefix(&self, e: &mut Enc) {
         e.u64(self.ticks);

@@ -36,7 +36,7 @@ pub use histogram::{Histogram, HistogramSnapshot, HistogramState};
 pub use registry::{intern_name, MetricEntry, MetricsRegistry, MetricsSnapshot, RegistryState};
 pub use spans::{Phase, PhaseProfile, PhaseWallStat, SpanGuard, SpanProfiler};
 pub use summary::{DelayPercentiles, NetworkSample, TelemetrySummary};
-pub use trace::{count_by_kind, events_to_jsonl, parse_jsonl, TraceEvent, Tracer};
+pub use trace::{count_by_kind, events_to_jsonl, parse_jsonl, TraceEvent, Tracer, EVENT_COUNTERS};
 
 use std::sync::Arc;
 
@@ -67,6 +67,26 @@ struct TelemetryInner {
     /// plain enabled telemetry, so enabling traces never perturbs
     /// byte-identity contracts that predate the profiler.
     profiler: Option<SpanProfiler>,
+}
+
+impl TelemetryInner {
+    /// Counts `event` under its [`EVENT_COUNTERS`] counter (and a
+    /// completion under the delay histogram), then traces it.
+    fn record(&self, event: TraceEvent) {
+        let kind = event.kind();
+        if let Some(&(_, counter)) = EVENT_COUNTERS.iter().find(|(k, _)| *k == kind) {
+            self.registry.counter_add(counter, 1);
+        }
+        if let TraceEvent::PaymentCompleted { delay, .. } = event {
+            self.registry.histogram_observe(
+                "sim.completion_delay",
+                "",
+                delay,
+                Histogram::latency_default,
+            );
+        }
+        self.tracer.record(event);
+    }
 }
 
 /// A cheap, cloneable telemetry handle: either disabled (no-op) or backed
@@ -138,12 +158,15 @@ impl Telemetry {
         self.inner.as_ref().map(|i| i.sample_interval)
     }
 
-    /// Records a trace event. The closure only runs when enabled, so
-    /// argument construction costs nothing when telemetry is off.
+    /// Records a trace event and counts it: the event's kind bumps its
+    /// [`EVENT_COUNTERS`] counter, and a `PaymentCompleted` also records its
+    /// delay in the `sim.completion_delay` histogram. The closure only runs
+    /// when enabled, so argument construction costs nothing when telemetry
+    /// is off.
     #[inline]
     pub fn emit(&self, event: impl FnOnce() -> TraceEvent) {
         if let Some(inner) = &self.inner {
-            inner.tracer.record(event());
+            inner.record(event());
         }
     }
 
@@ -414,6 +437,29 @@ mod tests {
         assert_eq!(summary.metrics.counter("sim.units_sent", ""), Some(3));
         let p = t.delay_percentiles("sim.completion_delay").unwrap();
         assert_eq!(p.p50, 0.5);
+    }
+
+    #[test]
+    fn emit_counts_events_by_kind() {
+        let t = Telemetry::enabled();
+        t.emit(|| TraceEvent::PaymentCompleted {
+            t: 1.0,
+            payment: 7,
+            delay: 0.5,
+        });
+        t.emit(|| TraceEvent::ChannelRecovered { t: 1.0, channel: 0 });
+        let summary = t.summarize(Vec::new()).unwrap();
+        assert_eq!(
+            summary.metrics.counter("sim.payments.completed", ""),
+            Some(1)
+        );
+        assert_eq!(
+            t.delay_percentiles("sim.completion_delay").unwrap().p50,
+            0.5
+        );
+        // A kind without a counter is traced but counts nothing.
+        assert_eq!(summary.event_count("channel_recovered"), 1);
+        assert_eq!(summary.metrics.counters.len(), 1);
     }
 
     #[test]

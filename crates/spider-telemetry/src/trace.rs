@@ -208,6 +208,26 @@ pub enum TraceEvent {
     },
 }
 
+/// The `sim.*` event counters, as `(event kind, counter name)`: each counter
+/// counts the trace events of its kind. [`Telemetry::emit`](crate::Telemetry::emit)
+/// bumps the counter an event's kind names, so engines never count an event
+/// by hand and no other code knows this mapping.
+pub const EVENT_COUNTERS: [(&str, &str); 13] = [
+    ("unit_sent", "sim.units.sent"),
+    ("unit_settled", "sim.units.settled"),
+    ("unit_refunded", "sim.units.refunded"),
+    ("unit_queued", "sim.units.queued"),
+    ("unit_dropped", "sim.units.dropped"),
+    ("unit_griefed", "sim.units.griefed"),
+    ("payment_arrived", "sim.payments.arrived"),
+    ("payment_completed", "sim.payments.completed"),
+    ("payment_abandoned", "sim.payments.abandoned"),
+    ("payment_retry", "sim.payments.retries"),
+    ("channel_outage", "sim.faults.outages"),
+    ("node_crashed", "sim.faults.node_crashes"),
+    ("rebalance_applied", "sim.rebalance.applied"),
+];
+
 impl TraceEvent {
     /// Stable kind string, used for per-kind counting and reconciliation.
     pub fn kind(&self) -> &'static str {

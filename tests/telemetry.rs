@@ -1,10 +1,13 @@
-//! Telemetry integration tests: trace/report reconciliation, JSONL file
-//! round-trips, grid trace determinism, and the disabled-is-free guarantee
-//! (a telemetry-off report serializes byte-identically to pre-telemetry
-//! builds, pinned by `tests/fixtures/simreport_pre_pr.json`).
+//! Telemetry integration tests: trace/report reconciliation, event-counter
+//! reconciliation on all three engines, JSONL file round-trips, grid trace
+//! determinism, and the disabled-is-free guarantee (a telemetry-off report
+//! serializes byte-identically to pre-telemetry builds, pinned by
+//! `tests/fixtures/simreport_pre_pr.json`).
 
 use spider::prelude::*;
-use spider::telemetry::{count_by_kind, parse_jsonl};
+use spider::sim::{CongestionConfig, FaultConfig, FaultPlan, RebalancePolicy, ShardPolicy};
+use spider::telemetry::{count_by_kind, parse_jsonl, EVENT_COUNTERS};
+use spider::workload::{generate, isp_sizes};
 use spider_bench::{
     run_grid_traced, run_scheme, run_scheme_traced, ExperimentConfig, GridConfig, SchemeChoice,
 };
@@ -206,4 +209,135 @@ fn grid_traces_are_byte_identical_at_any_worker_count() {
         let events = parse_jsonl(trace).expect("cell traces parse");
         assert!(!events.is_empty(), "telemetry-on cells must trace events");
     }
+}
+
+/// Checks the counter rule on one run: every `sim.*` event counter in
+/// [`EVENT_COUNTERS`] equals the number of trace events of its kind, and the
+/// completion-delay histogram holds one sample per completion. `must_fire`
+/// names the kinds the scenario has to exercise, so a reconciliation never
+/// passes vacuously at zero.
+fn assert_counters_reconcile(tel: &Telemetry, report: &SimReport, must_fire: &[&str]) {
+    let summary = report.telemetry.as_ref().expect("telemetry was enabled");
+    let counts = count_by_kind(&tel.events());
+    for (kind, counter) in EVENT_COUNTERS {
+        assert_eq!(
+            summary.metrics.counter(counter, "").unwrap_or(0),
+            kind_count(&counts, kind),
+            "{counter} must count the trace's {kind} events"
+        );
+    }
+    for kind in must_fire {
+        assert!(
+            kind_count(&counts, kind) > 0,
+            "scenario must exercise {kind}: {counts:?}"
+        );
+    }
+    let delays = summary
+        .metrics
+        .histogram("sim.completion_delay", "")
+        .map_or(0, |h| h.count);
+    assert_eq!(delays, kind_count(&counts, "payment_completed"));
+}
+
+/// An ISP topology and a seeded payment trace over `duration` seconds.
+fn isp_scenario(capacity: i64, payments: usize, duration: f64) -> (Network, Vec<Transaction>) {
+    let network = spider::topology::isp_topology(Amount::from_whole(capacity));
+    let mut trace = TraceConfig::isp_default(network.num_nodes(), payments, duration);
+    trace.seed = 5;
+    let txs = generate(&trace, &isp_sizes());
+    (network, txs)
+}
+
+/// Every fault class at once: outages, node churn, drops, and griefing,
+/// with sender retries on (the default).
+fn fault_storm(network: &Network, end_time: f64) -> FaultPlan {
+    let faults = FaultConfig {
+        seed: 7,
+        channel_outage_rate: 1.0,
+        outage_duration: 2.0,
+        node_churn_rate: 0.3,
+        node_downtime: 2.0,
+        unit_drop_prob: 0.05,
+        grief_prob: 0.03,
+        ..FaultConfig::default()
+    };
+    FaultPlan::from_config(&faults, network, end_time)
+}
+
+#[test]
+fn sequential_event_counters_reconcile_under_faults() {
+    let (network, txs) = isp_scenario(150, 400, 15.0);
+    let mut cfg = SimConfig::new(20.0);
+    cfg.faults = Some(fault_storm(&network, 20.0));
+    cfg.telemetry = Telemetry::enabled();
+    let report = spider::sim::run(&network, &txs, &mut WaterfillingScheme::new(), &cfg);
+    assert_counters_reconcile(
+        &cfg.telemetry,
+        &report,
+        &[
+            "unit_settled",
+            "unit_refunded",
+            "unit_dropped",
+            "unit_griefed",
+            "payment_completed",
+            "payment_retry",
+            "channel_outage",
+            "node_crashed",
+        ],
+    );
+}
+
+#[test]
+fn queued_event_counters_reconcile_under_faults() {
+    // Tight capacity so units wait in router queues.
+    let (network, txs) = isp_scenario(60, 400, 15.0);
+    let mut cfg = QueuedConfig::new(20.0);
+    cfg.faults = Some(fault_storm(&network, 20.0));
+    cfg.telemetry = Telemetry::enabled();
+    let out = run_queued(&network, &txs, &cfg);
+    assert_counters_reconcile(
+        &cfg.telemetry,
+        &out.report,
+        &[
+            "unit_settled",
+            "unit_refunded",
+            "unit_queued",
+            "payment_completed",
+            "payment_abandoned",
+            "channel_outage",
+            "node_crashed",
+        ],
+    );
+}
+
+#[test]
+fn sharded_event_counters_reconcile_with_every_feature() {
+    let (network, txs) = isp_scenario(90, 400, 14.0);
+    let mut cfg = ShardedConfig::new(20.0);
+    cfg.policy = ShardPolicy::Queued;
+    cfg.fees = Some(spider::routing::FeeSchedule::uniform(
+        &network,
+        Amount::from_micros(10),
+        1_000,
+    ));
+    cfg.congestion = Some(CongestionConfig::default());
+    cfg.rebalance = Some(RebalancePolicy::aggressive());
+    cfg.faults = Some(fault_storm(&network, 20.0));
+    cfg.telemetry = Telemetry::enabled();
+    let partition = Partition::build(&network, 2, 5);
+    let report = run_sharded(&network, &txs, &partition, &cfg);
+    assert_counters_reconcile(
+        &cfg.telemetry,
+        &report,
+        &[
+            "unit_settled",
+            "unit_refunded",
+            "unit_queued",
+            "unit_dropped",
+            "payment_completed",
+            "payment_retry",
+            "channel_outage",
+            "rebalance_applied",
+        ],
+    );
 }
